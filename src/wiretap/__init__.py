@@ -27,6 +27,7 @@ from .lp_limit import (
     build_lp,
     enumerate_rows,
     lp_limit_bits,
+    lp_limit_curve,
     lp_limit_rate,
     optimal_rows_l1,
     solve_lp,

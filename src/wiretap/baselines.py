@@ -14,7 +14,7 @@ import numpy as np
 
 from .bitcore import CodeTable
 from .equivocation import equivocation_rate
-from .lp_limit import lp_limit_rate
+from .lp_limit import lp_limit_curve
 from .ni_code import standard_table
 
 RNG_ALGORITHM = "philox4x64"
@@ -111,18 +111,18 @@ def compare_form(l, k, p_grid, samples=DEFAULT_SAMPLES, seed=0, exhaustive=False
         baseline = list(enumerate_binnings(l, k))
     else:
         baseline = list(sample_binning(l, k, seed, samples))
+    limits = lp_limit_curve(l, k, p_grid).rates
     rows = []
-    for p in p_grid:
+    for p, limit in zip(p_grid, limits):
         p = float(p)
         ni = equivocation_rate(table, p)
-        limit = lp_limit_rate(l, k, p)
         inf_limit = infinite_blocklength_limit(p, k / n)
         rates = np.array([equivocation_rate(t, p) for t in baseline])
         rows.append(
             {
                 "p": p,
                 "ni_rate": ni,
-                "lp_limit": limit,
+                "lp_limit": float(limit),
                 "inf_limit": inf_limit,
                 "rand_max": float(rates.max()),
                 "rand_mean": float(rates.mean()),

@@ -123,8 +123,9 @@ def read_csv_rows(path):
 def cmd_limit(args):
     l, k = parse_form(args.form)
     grid = _grid_from_args(args)
-    rows = [[p, lp_limit.lp_limit_rate(l, k, p)] for p in grid]
-    meta = {"command": "limit", "form": "%d,%d" % (l, k), "grid_points": len(grid)}
+    curve = lp_limit.lp_limit_curve(l, k, grid)
+    rows = [[p, float(rate)] for p, rate in zip(grid, curve.rates)]
+    meta = {"command": "limit", "form": "%d,%d" % (l, k), "grid_points": len(grid), "lp": curve.stats()}
     return _emit(args, ["p", "lp_limit_rate"], rows, meta)
 
 

@@ -20,6 +20,7 @@ equivocation curves agree to 1e-12.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,11 +72,15 @@ def _parity_check_t(l, k):
     return ht
 
 
+def _row_words(mat):
+    return [int("".join(str(int(b)) for b in row), 2) for row in mat]
+
+
 def gf2_rank(mat):
     """Rank over GF(2) by Gaussian elimination on row words."""
     mat = np.asarray(mat) % 2
     width = mat.shape[1]
-    rows = [int("".join(str(int(b)) for b in row), 2) for row in mat]
+    rows = _row_words(mat)
     rank = 0
     for col in range(width):
         bit = 1 << (width - 1 - col)
@@ -100,6 +105,11 @@ class WiretapCodec:
     @property
     def n(self):
         return self.l + self.k
+
+    @cached_property
+    def row_words(self):
+        """The rows of G as n-bit ints, MSB first; built once per codec."""
+        return _row_words(self.G)
 
 
 def _identity_holds(codec):
@@ -128,11 +138,6 @@ def build_codec(l, k):
     return codec
 
 
-def _row_words(mat):
-    width = mat.shape[1]
-    return [int("".join(str(int(b)) for b in row), 2) for row in mat], width
-
-
 def encode(codec, m, v):
     """Codeword for message m (k bits) and auxiliary v (l bits).
 
@@ -144,7 +149,7 @@ def encode(codec, m, v):
     if not 0 <= v < (1 << codec.l):
         raise ValueError("auxiliary word does not fit in %d bits" % codec.l)
     u = (m << codec.l) | v
-    rows, _ = _row_words(codec.G)
+    rows = codec.row_words
     x = 0
     for i in range(codec.n):
         if (u >> (codec.n - 1 - i)) & 1:

@@ -14,11 +14,28 @@ code of that shape:
                 x >= 0
 
 The optimum sits at a vertex, so the solver below is a dense two-phase
-primal simplex with Bland's rule; no external solver is involved.
+primal simplex; no external solver is involved.  Only f depends on the
+crossover p, so a curve is one sweep: the rows, A and b are built once,
+phase 1 runs once, and each grid point starts phase 2 from the previous
+point's optimal basis, which stays feasible.
+
+Pricing is Dantzig's rule (largest reduced cost, lowest index on ties);
+after 50 consecutive degenerate pivots it falls back to Bland's rule
+(smallest eligible index) until the objective moves again, which keeps
+the termination guarantee.  A column enters only when its reduced cost
+exceeds PRICE_TOL = 1e-12; the ratio test and zero detection use
+TOL = 1e-10.  Pricing at 1e-10 would stop up to about 6e-11 bits short
+of the optimum, e.g. at p = 0.05 for the forms (4,1) and (3,2).
+
+Every solution carries a dual certificate.  With y from the final basis
+and d = max(0, max(f - A^T y)), every feasible x has sum(x) = 2**n / e
+(each row sums to e), so f . x = y . A x + (f - A^T y) . x is at most
+upper = b . y + d * 2**n / e.  The gap upper - objective bounds how far
+the returned value can sit below the true optimum.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -28,8 +45,14 @@ from .equivocation import channel_weights
 
 ROW_CAP = 10_000_000
 
-# pivot tolerance shared by pricing, ratio test and zero detection
+# ratio test and zero detection
 TOL = 1e-10
+
+# a column enters only when its reduced cost is above this
+PRICE_TOL = 1e-12
+
+# consecutive degenerate pivots before Dantzig pricing yields to Bland's
+_DEGENERATE_RUN = 50
 
 _MAX_PIVOTS = 100_000
 
@@ -40,16 +63,6 @@ class SimplexError(RuntimeError):
 
 class CountMismatch(RuntimeError):
     """The two candidate-row counting formulas disagreed; implementation bug."""
-
-
-def _compositions(parts, total):
-    # ascending colexicographic order: last coordinate varies slowest
-    if parts == 1:
-        yield (total,)
-        return
-    for last in range(total + 1):
-        for head in _compositions(parts - 1, total - last):
-            yield head + (last,)
 
 
 def enumerate_rows(n, e, cap=ROW_CAP):
@@ -63,8 +76,29 @@ def enumerate_rows(n, e, cap=ROW_CAP):
     count = math.comb(e + n, e)
     if count > cap:
         raise CapExceeded("candidate row count N = %d exceeds cap %d" % (count, cap))
-    rows = np.array(list(_compositions(n + 1, e)), dtype=np.int64)
-    assert rows.shape == (count, n + 1)
+    # A row r is fixed by its suffix sums s_t = r[n-t] + ... + r[n],
+    # t = 0..n-1, and colexicographic order on rows is lexicographic
+    # order on the nondecreasing sequences (s_0, ..., s_{n-1}) in [0, e].
+    # Column t of that list repeats the last entry of each length-(t+1)
+    # prefix once per completion; a prefix ending in v has the children
+    # v, v+1, ..., e.  Only the rows array and O(N) scratch are live.
+    rows = np.empty((count, n + 1), dtype=np.int64)
+    last = np.arange(e + 1, dtype=np.int64)
+    for t in range(n):
+        if t:
+            counts = e + 1 - last
+            # child i of the whole level has value i - (first child index - v)
+            shift = np.repeat(np.cumsum(counts) - counts - last, counts)
+            last = np.arange(shift.size, dtype=np.int64)
+            last -= shift
+            del shift
+        tail = n - 1 - t
+        completions = np.array([math.comb(v + tail, tail) for v in range(e + 1)])
+        rows[:, n - t] = np.repeat(last, completions[e - last])
+    # suffix sums to entries, left to right so each step reads an unchanged s
+    rows[:, 0] = e - rows[:, 1]
+    for j in range(1, n):
+        rows[:, j] -= rows[:, j + 1]
     return rows
 
 
@@ -119,6 +153,45 @@ class LpSolution:
     objective: float
     basis: list
     selected: list     # [(row tuple, multiplicity)] for x_i > 0
+    upper: float       # dual bound: no feasible point scores above it
+    pivots_phase1: int  # 0 when the solve started from a given basis
+    pivots_phase2: int
+    bland_fallbacks: int
+
+
+@dataclass
+class LpCurve:
+    """LP optimum over a crossover grid, in the grid's order.
+
+    The endpoints p = 0 and p = 1 are not solved: their value is 0 by
+    convention, which is also the LP optimum, certified by y = 0 (a unit
+    gamma makes every P_i an integer, so every f_i <= 0).  Their basis
+    is None and they add no pivots.
+    """
+
+    n: int
+    grid: list
+    bits: np.ndarray     # LP optimum per point
+    upper: np.ndarray    # dual bound per point
+    bases: list          # optimal basis per point, sorted column indices
+    candidate_rows: int
+    pivots_phase1: int
+    pivots_phase2: list  # per point
+    bland_fallbacks: int
+
+    @property
+    def rates(self):
+        return self.bits / self.n
+
+    def stats(self):
+        """Solver counters as plain JSON-ready values."""
+        return {
+            "candidate_rows": self.candidate_rows,
+            "pivots_phase1": self.pivots_phase1,
+            "pivots_phase2": list(self.pivots_phase2),
+            "bland_fallbacks": self.bland_fallbacks,
+            "max_dual_gap": float(np.max(self.upper - self.bits, initial=0.0)),
+        }
 
 
 def objective_coefficients(rows, gamma):
@@ -138,19 +211,22 @@ def build_lp(n, e, p, cap=ROW_CAP):
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     rows = enumerate_rows(n, e, cap=cap)
-    gamma = channel_weights(p, n)
-    f = objective_coefficients(rows, gamma)
     A = rows.T.astype(float)
+    f = objective_coefficients(A.T, channel_weights(p, n))
     b = np.array([math.comb(n, j) for j in range(n + 1)], dtype=float)
     return LpInstance(n=n, e=e, p=p, rows=rows, f=f, A=A, b=b)
 
 
 def _pivot_loop(A, b, c, basis):
-    # Revised-ish dense iteration: refactor the basis every step.  Bland
-    # entering rule (smallest eligible index) plus smallest-basis-column
-    # tie-break on leaving guarantees termination.
-    m = A.shape[0]
-    for _ in range(_MAX_PIVOTS):
+    """Maximize c.x from the feasible `basis`, which is updated in place.
+
+    Dense iteration that refactors the basis every step.  Returns
+    (xb, y, pivots, fallbacks): the basic values, the duals, the pivot
+    count and the number of switches from Dantzig to Bland pricing.
+    Ties in the ratio test leave on the smallest basic column index.
+    """
+    degenerate = fallbacks = 0
+    for pivots in range(_MAX_PIVOTS):
         B = A[:, basis]
         try:
             xb = np.linalg.solve(B, b)
@@ -159,10 +235,11 @@ def _pivot_loop(A, b, c, basis):
             raise SimplexError("singular working basis")
         rc = c - y @ A
         rc[basis] = 0.0
-        eligible = np.nonzero(rc > TOL)[0]
-        if eligible.size == 0:
-            return basis, xb
-        enter = int(eligible[0])
+        enter = int(np.argmax(rc))
+        if rc[enter] <= PRICE_TOL:
+            return xb, y, pivots, fallbacks
+        if degenerate >= _DEGENERATE_RUN:
+            enter = int(np.flatnonzero(rc > PRICE_TOL)[0])
         d = np.linalg.solve(B, A[:, enter])
         pos = np.nonzero(d > TOL)[0]
         if pos.size == 0:
@@ -172,20 +249,25 @@ def _pivot_loop(A, b, c, basis):
         ties = pos[ratios <= best + TOL]
         leave_row = min(ties, key=lambda r: basis[r])
         basis[leave_row] = enter
+        if best > TOL:
+            degenerate = 0
+        else:
+            degenerate += 1
+            fallbacks += degenerate == _DEGENERATE_RUN
     raise SimplexError("pivot guard tripped after %d iterations" % _MAX_PIVOTS)
 
 
-def _simplex_max(A, b, f):
-    """Maximize f.x s.t. A x = b, x >= 0; returns (objective, x, basis)."""
+def _phase1(A, b):
+    """A feasible basis of A x = b, x >= 0, and the pivots it took."""
     m, ncols = A.shape
     if np.any(b < 0):
         raise ValueError("right-hand side must be nonnegative")
-    # phase 1: artificial columns, maximize minus their sum
+    # artificial columns, maximize minus their sum
     A1 = np.hstack([A, np.eye(m)])
     c1 = np.zeros(ncols + m)
     c1[ncols:] = -1.0
     basis = list(range(ncols, ncols + m))
-    basis, xb = _pivot_loop(A1, b, c1, basis)
+    xb, _, pivots, fallbacks = _pivot_loop(A1, b, c1, basis)
     if float(c1[basis] @ xb) < -1e-7:
         raise SimplexError("phase 1 ended infeasible")
     # pivot any zero-level artificial out on an original column
@@ -197,41 +279,102 @@ def _simplex_max(A, b, f):
             if not options:
                 raise SimplexError("dependent constraint row; instance is malformed")
             basis[r] = int(options[0])
-    # phase 2 prices original columns only; the basis is already original
-    basis, xb = _pivot_loop(A, b, f, basis)
-    x = np.zeros(ncols)
-    x[basis] = xb
-    return float(f[basis] @ xb), x, basis
+    return basis, pivots, fallbacks
 
 
-def solve_lp(inst):
+def solve_lp(inst, basis=None):
     """Optimal vertex of the instance; deterministic for a fixed input.
 
-    The returned multiplicities are those of an optimal basic feasible
-    solution: at most n+1 of them are positive and each is integral up
-    to roundoff, because the vertices of this polytope are integer.
+    `basis` is a feasible starting basis, such as the optimal basis of
+    the same form at another p (A and b do not depend on p); phase 1
+    runs only when it is None.  The returned multiplicities are those of
+    an optimal basic feasible solution: at most n+1 of them are positive
+    and each is integral up to roundoff, because the vertices of this
+    polytope are integer.
     """
-    objective, x, basis = _simplex_max(inst.A, inst.b, inst.f)
+    A, b, f = inst.A, inst.b, inst.f
+    if basis is None:
+        basis, pivots1, fallbacks1 = _phase1(A, b)
+    else:
+        basis, pivots1, fallbacks1 = list(basis), 0, 0
+    xb, y, pivots2, fallbacks2 = _pivot_loop(A, b, f, basis)
+    x = np.zeros(A.shape[1])
+    x[basis] = xb
+    slack = max(0.0, float(np.max(f - y @ A)))
     selected = [
         (tuple(int(v) for v in inst.rows[i]), float(x[i]))
         for i in np.nonzero(x > 1e-9)[0]
     ]
-    return LpSolution(x=x, objective=objective, basis=sorted(basis), selected=selected)
+    return LpSolution(
+        x=x,
+        objective=float(f[basis] @ xb),
+        basis=sorted(basis),
+        selected=selected,
+        upper=float(b @ y) + slack * float(b.sum()) / inst.e,
+        pivots_phase1=pivots1,
+        pivots_phase2=pivots2,
+        bland_fallbacks=fallbacks1 + fallbacks2,
+    )
+
+
+def lp_limit_curve(l, k, grid, cap=ROW_CAP):
+    """LP optimum in bits for form (l, k) at every p of `grid`.
+
+    One sweep in grid order: the LP is built and phase 1 solved at the
+    first interior point, and each later point warm-starts from the
+    previous optimal basis.  Every p is checked before anything is
+    solved; rows are enumerated only if some p lies strictly inside
+    (0, 1), so CapExceeded is raised only then.
+    """
+    if l < 0 or k < 1:
+        raise ValueError("need l >= 0 and k >= 1")
+    grid = [float(p) for p in grid]
+    if not all(0.0 <= p <= 1.0 for p in grid):
+        raise ValueError("p must lie in [0, 1]")
+    n, e = l + k, 1 << l
+    bits, upper, bases, pivots2 = [], [], [], []
+    pivots1 = fallbacks = 0
+    inst = basis = None
+    for p in grid:
+        if p in (0.0, 1.0):
+            bits.append(0.0)
+            upper.append(0.0)
+            bases.append(None)
+            pivots2.append(0)
+            continue
+        if inst is None:
+            inst = build_lp(n, e, p, cap=cap)
+        else:
+            inst = replace(inst, p=p, f=objective_coefficients(inst.A.T, channel_weights(p, n)))
+        sol = solve_lp(inst, basis)
+        basis = sol.basis
+        bits.append(sol.objective)
+        upper.append(sol.upper)
+        bases.append(sol.basis)
+        pivots1 += sol.pivots_phase1
+        pivots2.append(sol.pivots_phase2)
+        fallbacks += sol.bland_fallbacks
+    return LpCurve(
+        n=n,
+        grid=grid,
+        bits=np.array(bits),
+        upper=np.array(upper),
+        bases=bases,
+        candidate_rows=math.comb(e + n, e),
+        pivots_phase1=pivots1,
+        pivots_phase2=pivots2,
+        bland_fallbacks=fallbacks,
+    )
 
 
 def lp_limit_bits(l, k, p, cap=ROW_CAP):
     """LP optimum in bits for form (l, k) at crossover p.
 
-    At p = 0 or p = 1 the observation pins the codeword, equivocation 0;
-    those endpoints are returned by convention instead of solving a
-    degenerate program.
+    A one-point lp_limit_curve.  At p = 0 or p = 1 the observation pins
+    the codeword, equivocation 0; those endpoints are returned by
+    convention instead of solving a degenerate program.
     """
-    if l < 0 or k < 1:
-        raise ValueError("need l >= 0 and k >= 1")
-    if p in (0.0, 1.0):
-        return 0.0
-    inst = build_lp(l + k, 1 << l, p, cap=cap)
-    return solve_lp(inst).objective
+    return float(lp_limit_curve(l, k, [p], cap=cap).bits[0])
 
 
 def lp_limit_rate(l, k, p, cap=ROW_CAP):

@@ -67,6 +67,32 @@ def test_limit_json(capsys):
     assert "timestamp" in payload["metadata"]
 
 
+def test_limit_csv_bytes_and_json_solver_counters(capsys):
+    argv = ["limit", "--form", "3,2", "--p-grid", "0:0.5:6"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out == (
+        "#schema=1\n"
+        "p,lp_limit_rate\n"
+        "0,0\n"
+        "0.1,0.323884705143\n"
+        "0.2,0.394135037583\n"
+        "0.3,0.39999464554\n"
+        "0.4,0.399999601171\n"
+        "0.5,0.4\n"
+    )
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    lp = json.loads(out)["metadata"]["lp"]
+    assert set(lp) == {"candidate_rows", "pivots_phase1", "pivots_phase2", "bland_fallbacks", "max_dual_gap"}
+    assert lp["candidate_rows"] == 1287
+    assert lp["pivots_phase1"] > 0
+    assert len(lp["pivots_phase2"]) == 6
+    assert lp["pivots_phase2"][0] == 0
+    assert lp["bland_fallbacks"] >= 0
+    assert 0.0 <= lp["max_dual_gap"] <= 1e-10
+
+
 def test_limit_row_cap_exit_code(capsys):
     code, _, err = run(capsys, ["limit", "--form", "8,8", "--p", "0.1"])
     assert code == 3

@@ -126,6 +126,20 @@ def test_coset_table_bins_are_cosets():
             assert {rep ^ w for w in zero_bin} == set(b)
 
 
+def test_coset_tables_equal_matrix_products():
+    """Every linear form with n <= 12: bin m holds [m || v] G over GF(2)."""
+    forms = [(l, n - l) for n in range(2, 13) for l in range(1, n) if is_linear_form(l, n - l)]
+    assert len(forms) == 42
+    for l, k in forms:
+        codec = build_codec(l, k)
+        n = l + k
+        u = np.arange(1 << n)
+        bits = (u[:, None] >> np.arange(n - 1, -1, -1)) & 1
+        x = ((bits @ codec.G) % 2) @ (1 << np.arange(n - 1, -1, -1))
+        want = x.reshape(1 << k, 1 << l).tolist()
+        assert coset_table(codec).bins == want, (l, k)
+
+
 def test_coset_bins_follow_messages():
     codec = build_codec(1, 3)
     t = coset_table(codec)

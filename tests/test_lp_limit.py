@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from wiretap import lp_limit
 from wiretap.baselines import sample_binning
 from wiretap.bitcore import CapExceeded
 from wiretap.equivocation import channel_weights, distance_profile, equivocation_rate
@@ -15,6 +16,7 @@ from wiretap.lp_limit import (
     build_lp,
     enumerate_rows,
     lp_limit_bits,
+    lp_limit_curve,
     lp_limit_rate,
     objective_coefficients,
     optimal_rows_l1,
@@ -55,6 +57,17 @@ def test_enumerate_rows_matches_brute_force():
         assert len(set(rows)) == len(rows)
         # colexicographic: sorting by the reversed tuple is a no-op
         assert rows == sorted(rows, key=lambda r: tuple(reversed(r)))
+
+
+def test_enumerate_rows_colex_at_scale():
+    for n, e in ((5, 16), (6, 8), (1, 40), (3, 64)):
+        rows = enumerate_rows(n, e)
+        assert rows.shape == (math.comb(e + n, e), n + 1)
+        assert rows.min() >= 0 and np.all(rows.sum(axis=1) == e)
+        # strictly increasing when compared from the last coordinate down
+        diff = rows[1:, ::-1] - rows[:-1, ::-1]
+        first = diff[np.arange(len(diff)), np.argmax(diff != 0, axis=1)]
+        assert np.all(first > 0)
 
 
 def test_enumerate_rows_cap():
@@ -209,3 +222,80 @@ def test_appendix_count_domain():
         appendix_count(0, 2)
     with pytest.raises(ValueError):
         enumerate_rows(2, 0)
+
+
+FOUR_FORMS = ((1, 4), (2, 3), (3, 2), (4, 1))
+
+
+def test_curve_matches_independent_solves():
+    grid = [0.0, 0.5, 1.0] + [float(p) for p in np.linspace(0.02, 0.98, 13)]
+    np.random.default_rng(5).shuffle(grid)
+    for l, k in FOUR_FORMS:
+        curve = lp_limit_curve(l, k, grid)
+        assert curve.grid == grid
+        for p, bits in zip(grid, curve.bits):
+            assert abs(bits - lp_limit_bits(l, k, p)) <= 1e-12, (l, k, p)
+        assert np.array_equal(curve.rates, curve.bits / (l + k))
+
+
+def test_curve_certificate_gap():
+    grid = [float(p) for p in np.linspace(0.0, 1.0, 41)]
+    for l, k in FOUR_FORMS:
+        curve = lp_limit_curve(l, k, grid)
+        gap = curve.upper - curve.bits
+        assert np.all(gap <= 1e-10), (l, k, gap.max())
+        assert np.all(gap >= -1e-12), (l, k, gap.min())
+        assert curve.stats()["max_dual_gap"] == float(gap.max())
+
+
+def test_curve_not_below_highs_where_loose_pricing_stops_short():
+    """At p = 0.05 pricing at 1e-10 stops about 3e-11 bits short."""
+    for l, k in ((4, 1), (3, 2)):
+        inst = build_lp(l + k, 1 << l, 0.05)
+        res = scipy.optimize.linprog(
+            -inst.f, A_eq=inst.A, b_eq=inst.b, bounds=(0, None), method="highs-ds",
+            options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+        )
+        assert res.status == 0
+        assert lp_limit_bits(l, k, 0.05) >= -res.fun - 1e-12
+
+
+def test_curve_terminates_at_half():
+    # every f_i is equal at p = 1/2, so every basis is optimal
+    for l, k in FOUR_FORMS:
+        curve = lp_limit_curve(l, k, [0.5, 0.5])
+        assert np.allclose(curve.bits, k, atol=1e-9)
+        assert curve.pivots_phase2 == [0, 0]
+
+
+def test_curve_is_deterministic():
+    grid = [0.3, 0.05, 0.45, 0.0, 0.2]
+    a, b = lp_limit_curve(4, 1, grid), lp_limit_curve(4, 1, grid)
+    assert a.stats() == b.stats()
+    assert a.bases == b.bases
+    assert np.array_equal(a.bits, b.bits)
+
+
+def test_curve_counters():
+    grid = [0.0, 0.1, 0.2, 1.0]
+    curve = lp_limit_curve(3, 2, grid)
+    stats = curve.stats()
+    assert stats["candidate_rows"] == math.comb(8 + 5, 8)
+    assert stats["pivots_phase1"] > 0
+    assert len(stats["pivots_phase2"]) == len(grid)
+    assert stats["pivots_phase2"][0] == stats["pivots_phase2"][-1] == 0
+    assert curve.bases[0] is None and len(curve.bases[1]) == 6
+    # endpoints only: nothing is enumerated, so the cap never trips
+    assert lp_limit_curve(8, 8, [0.0, 1.0]).bits.tolist() == [0.0, 0.0]
+    with pytest.raises(ValueError):
+        lp_limit_curve(1, 2, [0.1, 1.5])
+
+
+def test_bland_fallback_reaches_the_same_optimum(monkeypatch):
+    grid = [float(p) for p in np.linspace(0.0, 0.5, 11)]
+    want = lp_limit_curve(4, 1, grid)
+    monkeypatch.setattr(lp_limit, "_DEGENERATE_RUN", 1)
+    got = lp_limit_curve(4, 1, grid)
+    assert got.bland_fallbacks > 0
+    assert np.max(np.abs(got.bits - want.bits)) <= 1e-12
+    assert np.all(got.upper - got.bits <= 1e-10)
