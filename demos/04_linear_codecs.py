@@ -9,7 +9,7 @@ the equivocation computable from a single observation.
 """
 
 from wiretap.bitcore import format_table, word_str
-from wiretap.equivocation import total_equivocation, total_equivocation_linear
+from wiretap.equivocation import conditional_equivocation, is_coset_table, total_equivocation_linear
 from wiretap.linear_matrices import (
     build_codec,
     coset_table,
@@ -40,10 +40,11 @@ print(format_table(coset_table(codec)))
 
 print("linearity lets one observation stand in for all %d:" % (1 << codec.n))
 t = coset_table(codec)
+print("  XOR by every unit vector maps bins onto bins: %s" % is_coset_table(t))
 for p in (0.1, 0.3):
-    full = total_equivocation(t, p)
+    every = sum(conditional_equivocation(t, z, p) for z in range(1 << t.n)) / (1 << t.n)
     fast = total_equivocation_linear(t, p)
-    print("  p = %.1f: full average %.12f, single-observation %.12f" % (p, full, fast))
+    print("  p = %.1f: average over every observation %.12f, z = 0 alone %.12f" % (p, every, fast))
 print()
 
 print("which forms have matrices at all?")

@@ -14,11 +14,14 @@ from .bitcore import (
     xor_translate,
 )
 from .equivocation import (
+    EquivocationCurve,
     NotLinearError,
     channel_weights,
     conditional_equivocation,
     distance_profile,
+    equivocation_curve,
     equivocation_rate,
+    is_coset_table,
     total_equivocation,
     total_equivocation_linear,
 )

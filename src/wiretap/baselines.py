@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .bitcore import CodeTable
-from .equivocation import equivocation_rate
+from .equivocation import equivocation_curve
 from .lp_limit import lp_limit_curve
 from .ni_code import standard_table
 
@@ -106,32 +106,21 @@ def compare_form(l, k, p_grid, samples=DEFAULT_SAMPLES, seed=0, exhaustive=False
     n = l + k
     if n > 12:
         raise ValueError("exhaustive equivocation past n = 12 is not supported here")
-    table = standard_table(l, k)
-    if exhaustive:
-        baseline = list(enumerate_binnings(l, k))
-    else:
-        baseline = list(sample_binning(l, k, seed, samples))
-    limits = lp_limit_curve(l, k, p_grid).rates
-    rows = []
-    for p, limit in zip(p_grid, limits):
-        p = float(p)
-        ni = equivocation_rate(table, p)
-        inf_limit = infinite_blocklength_limit(p, k / n)
-        rates = np.array([equivocation_rate(t, p) for t in baseline])
-        rows.append(
-            {
-                "p": p,
-                "ni_rate": ni,
-                "lp_limit": float(limit),
-                "inf_limit": inf_limit,
-                "rand_max": float(rates.max()),
-                "rand_mean": float(rates.mean()),
-                "rand_min": float(rates.min()),
-            }
-        )
+    baseline = enumerate_binnings(l, k) if exhaustive else sample_binning(l, k, seed, samples)
+    grid = [float(p) for p in p_grid]
+    ni = equivocation_curve(standard_table(l, k), grid).bits / n
+    # one curve per baseline table, streamed; rates[j] holds every table's rate at grid[j]
+    rates = np.array([equivocation_curve(t, grid).bits / n for t in baseline]).T.copy()
+    limits = lp_limit_curve(l, k, grid).rates
+    rows = [
+        {"p": p, "ni_rate": float(ni_p), "lp_limit": float(limit),
+         "inf_limit": infinite_blocklength_limit(p, k / n), "rand_max": float(at_p.max()),
+         "rand_mean": float(at_p.mean()), "rand_min": float(at_p.min())}
+        for p, ni_p, limit, at_p in zip(grid, ni, limits, rates)
+    ]
     return {
         "form": (l, k),
-        "samples": len(baseline),
+        "samples": rates.shape[1],
         "seed": None if exhaustive else seed,
         "algorithm": None if exhaustive else RNG_ALGORITHM,
         "exhaustive": bool(exhaustive),

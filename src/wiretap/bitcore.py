@@ -11,6 +11,8 @@ both meaningful to the constructions, so two equality notions exist:
 :func:`tables_equal_ordered` and :func:`tables_equal_partition`.
 """
 
+import itertools
+
 N_CAP = 24
 
 
@@ -112,6 +114,9 @@ def validate_table(t):
     for i, b in enumerate(t.bins):
         if len(b) != 1 << t.l:
             problems.append("bin %d has %d words, expected %d" % (i + 1, len(b), 1 << t.l))
+    # a valid table lists every word exactly once; only an invalid one needs the scan below
+    if not problems and sorted(itertools.chain.from_iterable(t.bins)) == list(range(1 << n)):
+        return ValidationReport(problems)
     seen = {}
     for i, b in enumerate(t.bins):
         for w in b:

@@ -72,25 +72,22 @@ def _grid_from_args(args):
     return parse_grid(args.p_grid)
 
 
-def _open_out(args):
+def _write(args, text):
+    """Write text to --out, or to stdout when it is absent."""
     if args.out:
-        return open(args.out, "w", newline="")
-    return None
+        with open(args.out, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
 
 
 def _emit(args, header, rows, meta):
     """Write rows as CSV or JSON to --out (stdout when absent)."""
     rows = [[round12(v) if isinstance(v, float) else v for v in row] for row in rows]
     if args.format == "json":
-        meta = dict(meta)
-        meta["timestamp"] = datetime.now(timezone.utc).isoformat()
-        payload = {
-            "schema": 1,
-            "columns": header,
-            "rows": rows,
-            "metadata": meta,
-        }
-        text = json.dumps(payload, indent=2) + "\n"
+        meta = dict(meta, timestamp=datetime.now(timezone.utc).isoformat())
+        text = json.dumps({"schema": 1, "columns": header, "rows": rows, "metadata": meta}, indent=2) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -99,13 +96,7 @@ def _emit(args, header, rows, meta):
         for row in rows:
             writer.writerow(["%.12g" % v if isinstance(v, float) else str(v) for v in row])
         text = buf.getvalue()
-    out = _open_out(args)
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with out:
-            out.write(text)
-    return 0
+    return _write(args, text)
 
 
 def read_csv_rows(path):
@@ -129,25 +120,19 @@ def cmd_limit(args):
     return _emit(args, ["p", "lp_limit_rate"], rows, meta)
 
 
+def _matrix_block(l, k):
+    codec = linear_matrices.build_codec(l, k)
+    fmt = linear_matrices.format_matrix
+    return "G =\n%s\nH_T =\n%s\n" % (fmt(codec.G), fmt(codec.H_T))
+
+
 def cmd_ni(args):
     l, k = parse_form(args.form)
-    if args.closed_form:
-        table = ni_code.closed_form_table(l, k)
-    else:
-        table = ni_code.standard_table(l, k)
-    text = bitcore.format_table(table)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    build = ni_code.closed_form_table if args.closed_form else ni_code.standard_table
+    _write(args, bitcore.format_table(build(l, k)))
     if args.emit_matrices:
-        codec = linear_matrices.build_codec(l, k)
-        block = "G =\n%s\nH_T =\n%s\n" % (
-            linear_matrices.format_matrix(codec.G),
-            linear_matrices.format_matrix(codec.H_T),
-        )
-        sys.stdout.write(("\n" if not args.out else "") + block)
+        # the matrices always go to stdout, after a blank line when the table did too
+        sys.stdout.write(("\n" if not args.out else "") + _matrix_block(l, k))
     return 0
 
 
@@ -155,34 +140,21 @@ def cmd_equivocation(args):
     with open(args.table_in) as fh:
         table = bitcore.parse_table(fh.read())
     grid = _grid_from_args(args)
-    rows = []
-    for p in grid:
-        h = equivocation.total_equivocation(table, p)
-        rows.append([p, h, h / table.n])
+    curve = equivocation.equivocation_curve(table, grid)
+    rows = [[p, float(h), float(h) / table.n] for p, h in zip(grid, curve.bits)]
     meta = {
         "command": "equivocation",
         "form": "%d,%d" % (table.l, table.k),
         "table_in": args.table_in,
         "grid_points": len(grid),
+        "route": curve.route,
     }
     return _emit(args, ["p", "equivocation_bits", "equivocation_rate"], rows, meta)
 
 
 def cmd_matrices(args):
     l, k = parse_form(args.form)
-    codec = linear_matrices.build_codec(l, k)
-    text = "form %d,%d\nG =\n%s\nH_T =\n%s\n" % (
-        l,
-        k,
-        linear_matrices.format_matrix(codec.G),
-        linear_matrices.format_matrix(codec.H_T),
-    )
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write(args, "form %d,%d\n" % (l, k) + _matrix_block(l, k))
 
 
 def cmd_compare(args):
@@ -224,22 +196,10 @@ def cmd_counts(args):
     if paths is not None:
         lines.append("recursion paths from form (1,1) = %d" % paths)
     if args.format == "json":
-        payload = {
-            "schema": 1,
-            "form": "%d,%d" % (l, k),
-            "candidate_rows": candidates,
-            "binning_codes": codes,
-            "paths_from_1_1": paths,
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+        payload = {"schema": 1, "form": "%d,%d" % (l, k), "candidate_rows": candidates,
+                   "binning_codes": codes, "paths_from_1_1": paths}
+        return _write(args, json.dumps(payload, indent=2) + "\n")
+    return _write(args, "\n".join(lines) + "\n")
 
 
 def build_parser():

@@ -8,8 +8,12 @@ of each bin gives the bin posterior (messages are uniform, so the
 normalizer cancels inside the entropy average), and the equivocation is
 the entropy of that posterior averaged over all 2**n observations.
 
-All computations are exhaustive; nothing is sampled.
+One kernel, _bin_masses, computes every posterior.  For a coset table
+(is_coset_table) every observation has the conditional entropy of z = 0,
+so z = 0 alone gives the exact average.  Nothing is sampled.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,7 +21,7 @@ from .bitcore import require_valid
 
 
 class NotLinearError(ValueError):
-    """total_equivocation_linear detected unequal conditional entropies."""
+    """total_equivocation_linear was given a table that is not a coset table."""
 
 
 def channel_weights(p, n):
@@ -46,8 +50,120 @@ def channel_weights(p, n):
     return gamma
 
 
-def _popcounts(arr):
-    return np.bitwise_count(arr.astype(np.uint32))
+# Chunk observations and weight rows so one gather stays around this
+# many cells regardless of n (it never drops below one of each).
+_CHUNK_CELLS = 1 << 22
+_TINY = np.finfo(float).tiny
+
+
+def _bin_masses(words, zs, gammas):
+    """The kernel: (P, Z, 2**k) bin masses for observations zs and P weight rows.
+
+    `words` is the (2**k, 2**l) word array of a valid table and `gammas`
+    a (P, n+1) matrix.  Entry [j, a, i] sums gammas[j, d] over the words
+    of bin i at distance d from zs[a]: the posterior of bin i when the
+    row is channel_weights.  The distances are computed once per call.
+    """
+    dist = np.bitwise_count(np.bitwise_xor.outer(zs, words))
+    step = max(1, _CHUNK_CELLS // dist.size)
+    blocks = [gammas[j : j + step] for j in range(0, len(gammas), step)]
+    return np.concatenate([np.take(block, dist, axis=1).sum(axis=-1) for block in blocks])
+
+
+def _entropies(masses):
+    """Entropy in bits summed over observations, per weight row; a zero mass adds 0."""
+    return -(masses * np.log2(np.maximum(masses, _TINY))).sum(axis=(1, 2))
+
+
+def _certify(t):
+    """Word array of a valid table, and whether XOR by each unit vector maps bins onto bins.
+
+    Unit vectors generate every word, so this is exact: True iff every
+    translate of the partition is the partition, i.e. iff the bin of 0 is
+    a subgroup and the bins are its cosets.  O(n * 2**n), int32 word ->
+    bin map, stops at the first failure.
+    """
+    words = np.asarray(t.bins, dtype=np.uint32)
+    # the bins of a coset table all translate one subgroup, so the first
+    # two share their difference sets: an O(2**l) test most tables fail
+    first, second = t.bins[0], t.bins[1]
+    if {w ^ first[0] for w in first} != {w ^ second[0] for w in second}:
+        return words, False
+    bin_of = np.empty(1 << t.n, dtype=np.int32)
+    bin_of[words] = np.arange(len(words), dtype=np.int32)[:, None]
+    for j in range(t.n):
+        image = bin_of[words ^ (1 << j)]
+        if (image != image[:, :1]).any():
+            return words, False
+    return words, True
+
+
+def is_coset_table(t):
+    """True iff the bins of t are the cosets of a subgroup of GF(2)**n.
+
+    XOR by z then permutes the bins and preserves distances, so every
+    observation has the conditional entropy of z = 0.
+    """
+    require_valid(t)
+    return _certify(t)[1]
+
+
+class EquivocationCurve(NamedTuple):
+    """Bits per grid point; route "coset" (z = 0 alone) or "full" (all 2**n observations)."""
+
+    bits: np.ndarray
+    route: str
+
+
+def _curve(t, grid, words, coset):
+    # the kernel over observation chunks: z = 0 alone for a coset table
+    n = t.n
+    gammas = np.array([channel_weights(p, n) for p in grid]).reshape(-1, n + 1)
+    count = 1 if coset else 1 << n
+    chunk = max(1, _CHUNK_CELLS // (1 << n))
+    sums = np.zeros(len(gammas))
+    for start in range(0, count if len(gammas) else 0, chunk):
+        zs = np.arange(start, min(start + chunk, count), dtype=np.uint32)
+        sums += _entropies(_bin_masses(words, zs, gammas))
+    return EquivocationCurve(sums / count, "coset" if coset else "full")
+
+
+def equivocation_curve(t, grid):
+    """H(M|Z) in bits at every p of `grid`: the mean over all 2**n observations
+    of conditional_equivocation (observations are equally likely).
+
+    Values lie in [0, k]: 0 at p = 0 and p = 1, k at p = 1/2; none depends
+    on the other grid points.  The table is validated once; a certified
+    coset table is evaluated at z = 0 only.
+    """
+    require_valid(t)
+    return _curve(t, grid, *_certify(t))
+
+
+def total_equivocation(t, p):
+    """equivocation_curve at the single crossover p."""
+    return float(equivocation_curve(t, [p]).bits[0])
+
+
+def total_equivocation_linear(t, p):
+    """total_equivocation of a certified coset table; NotLinearError for any other."""
+    require_valid(t)
+    words, coset = _certify(t)
+    if not coset:
+        raise NotLinearError(
+            "not a coset table: its translate by some unit vector differs from it "
+            "as a partition, so H(M|Z=0) need not be the equivocation"
+        )
+    return float(_curve(t, [p], words, coset).bits[0])
+
+
+def _one_observation(t, z, gammas):
+    # the kernel at a single observation: one row of bin masses per weight row
+    require_valid(t)
+    if not 0 <= z < (1 << t.n):
+        raise ValueError("z does not fit in %d bits" % t.n)
+    words = np.asarray(t.bins, dtype=np.uint32)
+    return _bin_masses(words, np.array([z], dtype=np.uint32), gammas)[:, 0, :]
 
 
 def distance_profile(t, z):
@@ -57,32 +173,20 @@ def distance_profile(t, z):
     bin i at each distance from z.  Rows sum to 2**l and column j sums
     to C(n, j) over all bins, since the bins partition the space.
     """
-    require_valid(t)
-    n = t.n
-    if not 0 <= z < (1 << n):
-        raise ValueError("z does not fit in %d bits" % n)
-    rows = np.zeros((1 << t.k, n + 1), dtype=np.int64)
-    for i, b in enumerate(t.bins):
-        d = _popcounts(np.asarray(b, dtype=np.uint32) ^ np.uint32(z))
-        np.add.at(rows[i], d, 1)
-    return rows
+    return _one_observation(t, z, np.eye(t.n + 1)).T.astype(np.int64)
 
 
 def bin_posteriors(t, z, p):
-    """Bin probabilities given z, via the distance profile.
-
-    P[i] = sum over distances d of rows[i, d] * gamma[d].
-    """
-    rows = distance_profile(t, z)
-    return rows @ channel_weights(p, t.n)
+    """Bin probabilities given z: the kernel at one observation."""
+    return _one_observation(t, z, channel_weights(p, t.n)[None, :])[0]
 
 
 def bin_posteriors_direct(t, z, p):
     """Bin probabilities given z by direct per-word summation.
 
     Evaluates p**d * q**(n-d) separately for every codeword instead of
-    going through the distance histogram.  Slower; kept as an
-    independent route for cross-checking the profile path.
+    going through the kernel.  Slower; kept as an independent route for
+    cross-checking the kernel.
     """
     n = t.n
     q = 1.0 - p
@@ -96,75 +200,13 @@ def bin_posteriors_direct(t, z, p):
     return out
 
 
-def _entropy_bits(probs):
-    probs = np.asarray(probs)
-    nz = probs > 0.0
-    return float(-(probs[nz] * np.log2(probs[nz])).sum())
-
-
 def conditional_equivocation(t, z, p):
     """Entropy in bits of the bin posterior given one observation z.
 
     Uses the convention 0 * log 0 = 0.  For p = 0 or p = 1 the posterior
     is a point mass and the value is exactly 0.
     """
-    return _entropy_bits(bin_posteriors(t, z, p))
-
-
-# Chunk the observation loop so the distance matrix stays around this
-# many cells regardless of n.
-_CHUNK_CELLS = 1 << 22
-
-
-def total_equivocation(t, p):
-    """Average conditional equivocation over all 2**n observations.
-
-    Equals (1 / 2**n) * sum over z of conditional_equivocation(t, z, p);
-    observations are equally likely because codewords are.  The value
-    lies in [0, k]: 0 at p = 0, exactly k at p = 1/2.
-    """
-    require_valid(t)
-    n = t.n
-    gamma = channel_weights(p, n)
-    cols = np.asarray(t.words(), dtype=np.uint32)
-    size = 1 << n
-    nbins = len(t.bins)
-    chunk = max(1, _CHUNK_CELLS // size)
-    total = 0.0
-    for start in range(0, size, chunk):
-        z = np.arange(start, min(start + chunk, size), dtype=np.uint32)
-        dist = np.bitwise_count(z[:, None] ^ cols[None, :])
-        post = gamma[dist].reshape(len(z), nbins, 1 << t.l).sum(axis=2)
-        good = post > 0.0
-        total += float(-(post[good] * np.log2(post[good])).sum())
-    return total / size
-
-
-def total_equivocation_linear(t, p, probes=8):
-    """Equivocation of a linear (coset) table via a single observation.
-
-    For a coset partition every observation yields the same conditional
-    entropy, so the all-zeros observation suffices.  The claim is
-    verified on a fixed set of probe observations; a probe disagreeing
-    beyond 1e-9 raises NotLinearError.  A pass is evidence, not proof,
-    since only a sample of observations is inspected.
-    """
-    require_valid(t)
-    n = t.n
-    h0 = conditional_equivocation(t, 0, p)
-    size = 1 << n
-    if size - 1 <= probes:
-        candidates = range(1, size)
-    else:
-        rng = np.random.default_rng(0x5eed)
-        candidates = rng.choice(size - 1, size=probes, replace=False) + 1
-    for z in candidates:
-        hz = conditional_equivocation(t, int(z), p)
-        if abs(hz - h0) > 1e-9:
-            raise NotLinearError(
-                "conditional entropy at z=%d differs from z=0 by %.3g bits" % (z, abs(hz - h0))
-            )
-    return h0
+    return float(_entropies(bin_posteriors(t, z, p)[None, None])[0])
 
 
 def equivocation_rate(t, p):

@@ -21,6 +21,20 @@ import numpy as np
 from .bitcore import N_CAP, CapExceeded, CodeTable, require_valid
 
 
+def _check_growth(t):
+    require_valid(t)
+    if t.n + 1 > N_CAP:
+        raise CapExceeded("blocklength %d exceeds cap %d" % (t.n + 1, N_CAP))
+
+
+def _rasba_bins(bins):
+    out = []
+    for b in bins:
+        first = [w << 1 | (pos & 1) for pos, w in enumerate(b)]
+        out += [first, [w ^ 1 for w in first]]
+    return out
+
+
 def rasba(t):
     """Grow (l, k) into (l, k+1) by recursive alternate single-bit adding.
 
@@ -29,22 +43,16 @@ def rasba(t):
     even positions get a 1; the second child does the reverse.  Appends
     are on the right end.
     """
-    require_valid(t)
-    if t.n + 1 > N_CAP:
-        raise CapExceeded("blocklength %d exceeds cap %d" % (t.n + 1, N_CAP))
-    bins = []
-    for b in t.bins:
-        first, second = [], []
-        for pos, w in enumerate(b, start=1):
-            if pos % 2 == 1:
-                first.append(w << 1 | 0)
-                second.append(w << 1 | 1)
-            else:
-                first.append(w << 1 | 1)
-                second.append(w << 1 | 0)
-        bins.append(first)
-        bins.append(second)
-    return CodeTable(t.l, t.k + 1, bins)
+    _check_growth(t)
+    return CodeTable(t.l, t.k + 1, _rasba_bins(t.bins))
+
+
+def _rahba_bins(bins):
+    out = []
+    for b, c in zip(bins[::2], bins[1::2]):
+        out.append([w << 1 for w in b] + [w << 1 | 1 for w in c])
+        out.append([w << 1 | 1 for w in b] + [w << 1 for w in c])
+    return out
 
 
 def rahba(t):
@@ -54,19 +62,8 @@ def rahba(t):
     Z = C||1, the pair's replacements are [V; Z] and [W; U].  For k = 1
     the table's two bins form the single pair.
     """
-    require_valid(t)
-    if t.n + 1 > N_CAP:
-        raise CapExceeded("blocklength %d exceeds cap %d" % (t.n + 1, N_CAP))
-    bins = [None] * len(t.bins)
-    for i in range(0, len(t.bins), 2):
-        b, c = t.bins[i], t.bins[i + 1]
-        v = [w << 1 | 0 for w in b]
-        wl = [w << 1 | 1 for w in b]
-        u = [w << 1 | 0 for w in c]
-        z = [w << 1 | 1 for w in c]
-        bins[i] = v + z
-        bins[i + 1] = wl + u
-    return CodeTable(t.l + 1, t.k, bins)
+    _check_growth(t)
+    return CodeTable(t.l + 1, t.k, _rahba_bins(t.bins))
 
 
 def base_table():
@@ -75,17 +72,20 @@ def base_table():
 
 
 def standard_table(l, k):
-    """Form (l, k) by the standard path: RAHBA l times, RASBA k-1 times."""
+    """Form (l, k) by the standard path: RAHBA l times, RASBA k-1 times.
+
+    Each step maps a partition to a partition, so none is validated.
+    """
     if l < 0 or k < 1:
         raise ValueError("need l >= 0 and k >= 1")
     if l + k > N_CAP:
         raise CapExceeded("blocklength %d exceeds cap %d" % (l + k, N_CAP))
-    t = base_table()
+    bins = base_table().bins
     for _ in range(l):
-        t = rahba(t)
+        bins = _rahba_bins(bins)
     for _ in range(k - 1):
-        t = rasba(t)
-    return t
+        bins = _rasba_bins(bins)
+    return CodeTable(l, k, bins)
 
 
 def path_count(from_form, to_form):

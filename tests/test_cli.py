@@ -166,6 +166,23 @@ def test_equivocation_grid(tmp_path, capsys):
     assert abs(rows[-1][1] - 2.0) < 1e-9
 
 
+def test_equivocation_json_reports_route(tmp_path, capsys):
+    """A certified coset table is evaluated at z = 0, the golden (3,2) table at every z."""
+    coset = tmp_path / "coset.txt"
+    assert run(capsys, ["ni", "--form", "2,10", "--out", str(coset)])[0] == 0
+    golden = tmp_path / "golden.txt"
+    golden.write_text(format_table(make((3, 2))))
+    for path, route in ((coset, "coset"), (golden, "full")):
+        argv = ["equivocation", "--table-in", str(path), "--p-grid", "0:0.5:3"]
+        code, out, _ = run(capsys, argv + ["--format", "json"])
+        assert code == 0
+        assert json.loads(out)["metadata"]["route"] == route
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert out.splitlines()[:2] == ["#schema=1", "p,equivocation_bits,equivocation_rate"]
+        assert "route" not in out and "coset" not in out
+
+
 def test_equivocation_bad_table_names_line(tmp_path, capsys):
     table_path = tmp_path / "bad.txt"
     table_path.write_text("1 1\n00 11\n01 1x\n")

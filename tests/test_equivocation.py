@@ -4,8 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from wiretap.baselines import sample_binning
-from wiretap.bitcore import CodeTable, xor_translate
+from wiretap import equivocation
+from wiretap.baselines import enumerate_binnings, sample_binning
+from wiretap.bitcore import CodeTable, partition_of, xor_translate
 from wiretap.equivocation import (
     NotLinearError,
     bin_posteriors,
@@ -13,11 +14,13 @@ from wiretap.equivocation import (
     channel_weights,
     conditional_equivocation,
     distance_profile,
+    equivocation_curve,
     equivocation_rate,
+    is_coset_table,
     total_equivocation,
     total_equivocation_linear,
 )
-from wiretap.linear_matrices import build_codec, coset_table
+from wiretap.linear_matrices import build_codec, coset_table, is_linear_form
 from wiretap.ni_code import standard_table
 
 from golden_tables import make
@@ -171,3 +174,97 @@ def test_linear_shortcut_rejects_nonlinear_table():
     with pytest.raises(NotLinearError) as exc:
         total_equivocation_linear(t, 0.1)
     assert "differs" in str(exc.value)
+
+
+def test_coset_certificate_equals_brute_force_translation_check():
+    """is_coset_table agrees with "every XOR translate has the same partition"."""
+    for form, count in (((2, 1), 70), ((1, 2), 2520)):
+        tables = list(enumerate_binnings(*form))
+        assert len(tables) == count
+        certified = 0
+        for t in tables:
+            want = all(partition_of(xor_translate(t, z)) == partition_of(t) for z in range(1 << t.n))
+            assert is_coset_table(t) == want
+            certified += want
+        # (2,1): the 7 subgroups of order 4 each give 2 orderings of bins;
+        # (1,2): the 7 subgroups of order 2 each give 4! orderings
+        assert certified == {(2, 1): 14, (1, 2): 168}[form]
+
+
+def test_certificate_rejects_a_tiling_and_the_golden_32_table():
+    # both bins translate {000, 001, 010, 111}, which is not a subgroup
+    tiling = CodeTable(2, 1, [[0, 1, 2, 7], [4, 5, 6, 3]])
+    for t in (tiling, make((3, 2))):
+        assert not is_coset_table(t)
+        with pytest.raises(NotLinearError) as exc:
+            total_equivocation_linear(t, 0.1)
+        assert "differs" in str(exc.value)
+    # the two bins of the tiling have different conditional entropies at p = 0.1
+    conds = {round(conditional_equivocation(tiling, z, 0.1), 12) for z in range(8)}
+    assert len(conds) > 1
+
+
+def _family_and_coset_tables(max_n):
+    for n in range(1, max_n + 1):
+        for l in range(0, n):
+            k = n - l
+            yield standard_table(l, k)
+            if is_linear_form(l, k):
+                yield coset_table(build_codec(l, k))
+
+
+def test_certified_route_equals_the_average_over_every_observation():
+    """On every family and coset table with n <= 8, z = 0 alone gives the average."""
+    ps = (0.05, 0.2, 0.45)
+    count = 0
+    for t in _family_and_coset_tables(8):
+        curve = equivocation_curve(t, ps)
+        assert curve.route == "coset"
+        for p, h in zip(ps, curve.bits):
+            avg = sum(conditional_equivocation(t, z, p) for z in range(1 << t.n)) / (1 << t.n)
+            assert abs(total_equivocation(t, p) - avg) < 1e-12
+            assert abs(h - avg) < 1e-12
+        count += 1
+    assert count == 36 + 20
+
+
+def test_curve_equals_per_point_values_on_a_shuffled_grid():
+    grid = [0.5, 0.13, 1.0, 0.0, 0.31, 0.07, 0.5 - 1e-9, 0.45, 0.999]
+    tables = {
+        "coset": standard_table(2, 3),
+        "full": next(sample_binning(2, 3, seed=4)),
+        "l0": standard_table(0, 4),
+    }
+    routes = {"coset": "coset", "full": "full", "l0": "coset"}
+    for name, t in tables.items():
+        curve = equivocation_curve(t, grid)
+        assert curve.route == routes[name]
+        assert len(curve.bits) == len(grid)
+        for p, h in zip(grid, curve.bits):
+            assert abs(h - total_equivocation(t, p)) < 1e-12
+        # each point is computed on its own, so the rest of the grid changes no bit
+        assert curve.bits.tolist() == [total_equivocation(t, p) for p in grid]
+        assert curve.bits[2] == curve.bits[3] == 0.0
+        assert abs(curve.bits[0] - t.k) < 1e-12
+
+
+def test_curve_chunks_agree_with_one_pass(monkeypatch):
+    """Splitting observations and weight rows into small blocks changes nothing past 1e-12."""
+    grid = [0.03, 0.2, 0.37, 0.5]
+    tables = [next(sample_binning(3, 3, seed=8)), standard_table(3, 3)]
+    whole = [equivocation_curve(t, grid).bits for t in tables]
+    profile = distance_profile(tables[0], 5)
+    monkeypatch.setattr(equivocation, "_CHUNK_CELLS", 100)
+    for t, want in zip(tables, whole):
+        assert np.allclose(equivocation_curve(t, grid).bits, want, rtol=0, atol=1e-12)
+    assert distance_profile(tables[0], 5).tolist() == profile.tolist()
+
+
+def test_curve_rejects_invalid_tables_and_crossovers():
+    with pytest.raises(ValueError):
+        equivocation_curve(CodeTable(1, 1, [[0, 1], [2, 2]]), [0.1])
+    with pytest.raises(ValueError):
+        is_coset_table(CodeTable(1, 1, [[0, 1], [2]]))
+    with pytest.raises(ValueError):
+        equivocation_curve(make((1, 1)), [0.2, 1.5])
+    assert equivocation_curve(make((1, 1)), []).bits.tolist() == []
