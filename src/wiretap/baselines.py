@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .bitcore import CodeTable
-from .equivocation import equivocation_curve
+from .equivocation import _curve, _weight_rows, is_coset_table
 from .lp_limit import lp_limit_curve
 from .ni_code import standard_table
 
@@ -34,9 +34,7 @@ def sample_binning(l, k, seed, count=1):
     e = 1 << l
     for i in range(count):
         rng = np.random.Generator(np.random.Philox(key=[seed, i]))
-        perm = rng.permutation(1 << n)
-        bins = [perm[j * e : (j + 1) * e].tolist() for j in range(1 << k)]
-        yield CodeTable(l, k, bins)
+        yield CodeTable(l, k, rng.permutation(1 << n).reshape(1 << k, e))
 
 
 def enumerate_binnings(l, k, limit=100_000):
@@ -108,9 +106,12 @@ def compare_form(l, k, p_grid, samples=DEFAULT_SAMPLES, seed=0, exhaustive=False
         raise ValueError("exhaustive equivocation past n = 12 is not supported here")
     baseline = enumerate_binnings(l, k) if exhaustive else sample_binning(l, k, seed, samples)
     grid = [float(p) for p in p_grid]
-    ni = equivocation_curve(standard_table(l, k), grid).bits / n
-    # one curve per baseline table, streamed; rates[j] holds every table's rate at grid[j]
-    rates = np.array([equivocation_curve(t, grid).bits / n for t in baseline]).T.copy()
+    # one weight matrix for the grid; one curve per table, streamed
+    gammas = _weight_rows(grid, n)
+    family = standard_table(l, k)
+    ni = _curve(family, gammas, is_coset_table(family)).bits / n
+    # rates[j] holds every baseline table's rate at grid[j]
+    rates = np.array([_curve(t, gammas, is_coset_table(t)).bits / n for t in baseline]).T.copy()
     limits = lp_limit_curve(l, k, grid).rates
     rows = [
         {"p": p, "ni_rate": float(ni_p), "lp_limit": float(limit),

@@ -1,19 +1,23 @@
 """Binary words, Hamming geometry, and binning code tables.
 
-Words are plain Python ints carrying no length of their own; every table
+A word is an unsigned integer carrying no length of its own; every table
 knows its blocklength n and all words must fit in n bits.  Bit position 0
 is the leftmost (most significant) bit when a word is printed, and
 "appending" a bit attaches it at the rightmost end, i.e. ``(w << 1) | b``.
 
 A code table of form (l, k) partitions all 2**n words (n = l + k) into
-2**k ordered bins of 2**l words each.  Bin order and intra-bin order are
-both meaningful to the constructions, so two equality notions exist:
-:func:`tables_equal_ordered` and :func:`tables_equal_partition`.
+2**k ordered bins of 2**l words each.  It holds them as one read-only
+(2**k, 2**l) uint32 array, validated once when the table is built.  Bin
+order and intra-bin order are both meaningful to the constructions, so
+two equality notions exist: :func:`tables_equal_ordered` and
+:func:`tables_equal_partition`.
 """
 
-import itertools
+import numpy as np
 
 N_CAP = 24
+# rows of text that format_table assembles at once: about this many bytes
+_FORMAT_BYTES = 1 << 22
 
 
 class CapExceeded(Exception):
@@ -56,10 +60,34 @@ def hamming_distance(a, b, n=None):
     return (a ^ b).bit_count()
 
 
-class CodeTable:
-    """Form (l, k) binning table: 2**k ordered bins of 2**l words."""
+def word_rank(words, n):
+    """Rank over GF(2) of a 1-D array of n-bit words.
 
-    __slots__ = ("l", "k", "bins")
+    Gaussian elimination one pivot bit at a time, each step one array
+    operation over all words.  An object array of Python ints serves
+    for words wider than 64 bits.
+    """
+    rank = 0
+    for bit in range(n - 1, -1, -1):
+        has = (words >> bit) & 1 == 1
+        if has.any():
+            words = np.where(has, words ^ words[has.argmax()], words)
+            rank += 1
+    return rank
+
+
+class CodeTable:
+    """Form (l, k) binning table: 2**k ordered bins of 2**l words.
+
+    `bins` may be any (2**k, 2**l) nesting of integers, an array among
+    them.  When it has that shape and every word fits in n bits, the
+    table holds a read-only uint32 copy in `array`.  Any other input
+    still builds a table, which keeps its bins as given (`array` is None)
+    and is never valid.  Either way the validation report is made here,
+    once.
+    """
+
+    __slots__ = ("l", "k", "array", "_given", "_report")
 
     def __init__(self, l, k, bins):
         if l < 0 or k < 1:
@@ -68,18 +96,50 @@ class CodeTable:
             raise CapExceeded("blocklength %d exceeds cap %d" % (l + k, N_CAP))
         self.l = l
         self.k = k
-        self.bins = [list(b) for b in bins]
+        if not isinstance(bins, np.ndarray):
+            bins = [list(b) for b in bins]
+        self.array = _word_array(l, k, bins)
+        self._given = bins if self.array is None else None
+        if self.array is not None:
+            seen = np.zeros(1 << self.n, dtype=bool)
+            seen[self.array] = True
+        # 2**n words in range cover every word iff each appears once
+        self._report = ValidationReport([]) if self.array is not None and seen.all() else _describe(self)
 
     @property
     def n(self):
         return self.l + self.k
+
+    @property
+    def bins(self):
+        """The bins as fresh lists of ints, built on each access."""
+        if self.array is not None:
+            return self.array.tolist()
+        return [list(b) for b in self._given]
 
     def words(self):
         """All words of the table in bin order."""
         return [w for b in self.bins for w in b]
 
     def __repr__(self):
-        return "CodeTable(l=%d, k=%d, %d bins)" % (self.l, self.k, len(self.bins))
+        count = len(self.array) if self.array is not None else len(self._given)
+        return "CodeTable(l=%d, k=%d, %d bins)" % (self.l, self.k, count)
+
+
+def _word_array(l, k, bins):
+    # bins as a (2**k, 2**l) uint32 array, or None when they have another
+    # shape or hold anything but integers that fit in n = l + k bits
+    try:
+        arr = np.asarray(bins)
+    except (ValueError, OverflowError):
+        return None
+    if arr.shape != (1 << k, 1 << l) or arr.dtype.kind not in "iu":
+        return None
+    if arr.min() < 0 or arr.max() >= 1 << (l + k):
+        return None
+    words = arr.astype(np.uint32)
+    words.flags.writeable = False
+    return words
 
 
 class ValidationReport:
@@ -102,23 +162,26 @@ class ValidationReport:
 
 
 def validate_table(t):
-    """Check the partition invariants of a code table.
+    """The partition report made when t was built.
 
     Reports wrong bin counts or sizes, out-of-range words, duplicates,
     and missing words.  Never raises; the report carries the failures.
     """
+    return t._report
+
+
+def _describe(t):
+    # the per-word scan behind the report of a table that is not a partition
     problems = []
     n = t.n
-    if len(t.bins) != 1 << t.k:
-        problems.append("expected %d bins, found %d" % (1 << t.k, len(t.bins)))
-    for i, b in enumerate(t.bins):
+    bins = t.bins
+    if len(bins) != 1 << t.k:
+        problems.append("expected %d bins, found %d" % (1 << t.k, len(bins)))
+    for i, b in enumerate(bins):
         if len(b) != 1 << t.l:
             problems.append("bin %d has %d words, expected %d" % (i + 1, len(b), 1 << t.l))
-    # a valid table lists every word exactly once; only an invalid one needs the scan below
-    if not problems and sorted(itertools.chain.from_iterable(t.bins)) == list(range(1 << n)):
-        return ValidationReport(problems)
     seen = {}
-    for i, b in enumerate(t.bins):
+    for i, b in enumerate(bins):
         for w in b:
             if not 0 <= w < (1 << n):
                 problems.append("bin %d: word %d does not fit in %d bits" % (i + 1, w, n))
@@ -129,6 +192,9 @@ def validate_table(t):
     if len(problems) == 0 and len(seen) != 1 << n:
         missing = [word_str(w, n) for w in range(1 << n) if w not in seen]
         problems.append("missing words: %s" % ", ".join(missing))
+    if not problems and t.array is None:
+        # equal to a partition's words, but not integers (1.0 == 1)
+        problems.append("words must be integers")
     return ValidationReport(problems)
 
 
@@ -144,7 +210,9 @@ def xor_translate(t, z):
     """XOR every word with z, preserving bin structure.  Involutive."""
     if not 0 <= z < (1 << t.n):
         raise ValueError("z does not fit in %d bits" % t.n)
-    return CodeTable(t.l, t.k, [[w ^ z for w in b] for b in t.bins])
+    if t.array is None:
+        return CodeTable(t.l, t.k, [[w ^ z for w in b] for b in t.bins])
+    return CodeTable(t.l, t.k, t.array ^ np.uint32(z))
 
 
 def tables_equal_ordered(a, b):
@@ -163,19 +231,79 @@ def tables_equal_partition(a, b):
 
 
 def format_table(t):
-    """Serialize to the text format: header 'l k', then one bin per line."""
-    lines = ["%d %d" % (t.l, t.k)]
-    for b in t.bins:
-        lines.append(" ".join(word_str(w, t.n) for w in b))
-    return "\n".join(lines) + "\n"
+    """Serialize to the text format: header 'l k', then one bin per line.
+
+    Words are written as n bits separated by single spaces, each bin
+    line ending in a newline.  The text is assembled from the table's
+    bit array, a bounded block of bins at a time.
+    """
+    if t.array is None:
+        raise ValueError("only a (2**k, 2**l) table of %d-bit words can be written" % t.n)
+    n = t.n
+    shifts = np.arange(n - 1, -1, -1, dtype=np.uint32)
+    step = max(1, _FORMAT_BYTES // (t.array.shape[1] * (n + 1)))
+    parts = ["%d %d\n" % (t.l, t.k)]
+    for start in range(0, len(t.array), step):
+        block = t.array[start : start + step]
+        cells = np.empty(block.shape + (n + 1,), dtype=np.uint8)
+        cells[..., :n] = (block[..., None] >> shifts) & 1
+        cells[..., :n] += ord("0")
+        cells[..., n] = ord(" ")
+        cells[:, -1, n] = ord("\n")
+        parts.append(cells.tobytes().decode("ascii"))
+    return "".join(parts)
 
 
 def parse_table(text):
     """Parse the text format produced by format_table.
 
     Raises TableParseError with the offending 1-based line number.
-    The parsed table must pass validate_table.
+    The parsed table must pass validate_table.  Text laid out exactly as
+    format_table writes it is decoded in one array operation; any other
+    spelling goes through the line scanner.
     """
+    t = _parse_canonical(text)
+    if t is None:
+        t = _scan_table(text)
+    report = validate_table(t)
+    if not report.ok:
+        raise TableParseError("; ".join(report.problems))
+    return t
+
+
+def _parse_canonical(text):
+    # the table if text is byte for byte in format_table's layout, else None
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    end = raw.find(b"\n")
+    head = raw[:end]
+    try:
+        l, k = (int(x) for x in head.split(b" "))
+    except ValueError:
+        return None
+    if end < 0 or head != b"%d %d" % (l, k) or l < 0 or k < 1 or l + k > N_CAP:
+        return None
+    n = l + k
+    if len(raw) - len(head) - 1 != (1 << n) * (n + 1):
+        return None
+    cells = np.frombuffer(raw, dtype=np.uint8, offset=len(head) + 1).reshape(1 << k, 1 << l, n + 1)
+    gaps = cells[..., n]
+    if (gaps[:, :-1] != ord(" ")).any() or (gaps[:, -1] != ord("\n")).any():
+        return None
+    bits = cells[..., :n] - np.uint8(ord("0"))
+    if bits.max() > 1:
+        return None
+    # packbits left-aligns each word in whole bytes, zero padded on the right
+    packed = np.packbits(bits, axis=-1)
+    words = np.zeros(packed.shape[:-1], dtype=np.uint32)
+    for j in range(packed.shape[-1]):
+        words = (words << 8) | packed[..., j]
+    return CodeTable(l, k, words >> (8 * packed.shape[-1] - n))
+
+
+def _scan_table(text):
+    # the line scanner: any spelling the tokenizer accepts, errors with line numbers
     lines = text.splitlines()
     if not lines:
         raise TableParseError("empty input")
@@ -208,8 +336,4 @@ def parse_table(text):
         bins.append(row)
     if len(bins) != 1 << k:
         raise TableParseError("found %d bins, expected %d" % (len(bins), 1 << k), line=lineno)
-    t = CodeTable(l, k, bins)
-    report = validate_table(t)
-    if not report.ok:
-        raise TableParseError("; ".join(report.problems))
-    return t
+    return CodeTable(l, k, bins)

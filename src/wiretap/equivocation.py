@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bitcore import require_valid
+from .bitcore import require_valid, word_rank
 
 
 class NotLinearError(ValueError):
@@ -27,9 +27,11 @@ class NotLinearError(ValueError):
 def channel_weights(p, n):
     """Vector gamma with gamma[d] = p**d * (1-p)**(n-d) for d = 0..n.
 
-    Built by iterative multiplication, gamma[d+1] = gamma[d] * p / q,
-    which is stable for 0 < p < 1; the endpoints p = 0 and p = 1 are
-    special-cased so no 0/0 appears.
+    Built by iterative multiplication from the larger end: for p <= 1/2
+    up from gamma[0] = q**n by the ratio p / q, for p > 1/2 down from
+    gamma[n] = p**n by q / p, so the start never underflows (it is at
+    least 2**-n) and no ratio exceeds 1.  The endpoints p = 0 and p = 1
+    are special-cased so no 0/0 appears.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1], got %r" % (p,))
@@ -43,6 +45,12 @@ def channel_weights(p, n):
         gamma[n] = 1.0
         return gamma
     q = 1.0 - p
+    if p > 0.5:
+        gamma[n] = p ** n
+        ratio = q / p
+        for d in range(n, 0, -1):
+            gamma[d - 1] = gamma[d] * ratio
+        return gamma
     gamma[0] = q ** n
     ratio = p / q
     for d in range(n):
@@ -75,37 +83,27 @@ def _entropies(masses):
     return -(masses * np.log2(np.maximum(masses, _TINY))).sum(axis=(1, 2))
 
 
-def _certify(t):
-    """Word array of a valid table, and whether XOR by each unit vector maps bins onto bins.
-
-    Unit vectors generate every word, so this is exact: True iff every
-    translate of the partition is the partition, i.e. iff the bin of 0 is
-    a subgroup and the bins are its cosets.  O(n * 2**n), int32 word ->
-    bin map, stops at the first failure.
-    """
-    words = np.asarray(t.bins, dtype=np.uint32)
-    # the bins of a coset table all translate one subgroup, so the first
-    # two share their difference sets: an O(2**l) test most tables fail
-    first, second = t.bins[0], t.bins[1]
-    if {w ^ first[0] for w in first} != {w ^ second[0] for w in second}:
-        return words, False
-    bin_of = np.empty(1 << t.n, dtype=np.int32)
-    bin_of[words] = np.arange(len(words), dtype=np.int32)[:, None]
-    for j in range(t.n):
-        image = bin_of[words ^ (1 << j)]
-        if (image != image[:, :1]).any():
-            return words, False
-    return words, True
-
-
 def is_coset_table(t):
     """True iff the bins of t are the cosets of a subgroup of GF(2)**n.
 
     XOR by z then permutes the bins and preserves distances, so every
-    observation has the conditional entropy of z = 0.
+    observation has the conditional entropy of z = 0.  Exact, in O(2**n):
+    one gather shows that XOR by its first word maps every bin into the
+    bin S that holds 0, so every bin is a translate of S (both have 2**l
+    words); S then is a subgroup iff its GF(2) rank is l, since it holds
+    0 and 2**l words.  Raises ValueError for an invalid table.
     """
     require_valid(t)
-    return _certify(t)[1]
+    words = t.array
+    # the bins of a coset table all translate one subgroup, so the first
+    # two share their difference sets: an O(2**l) test most tables fail
+    if not np.array_equal(np.sort(words[0] ^ words[0, 0]), np.sort(words[1] ^ words[1, 0])):
+        return False
+    bin_of = np.empty(1 << t.n, dtype=np.int32)
+    bin_of[words] = np.arange(len(words), dtype=np.int32)[:, None]
+    if not (bin_of[words ^ words[:, :1]] == bin_of[0]).all():
+        return False
+    return word_rank(words[bin_of[0]], t.n) == t.l
 
 
 class EquivocationCurve(NamedTuple):
@@ -115,16 +113,19 @@ class EquivocationCurve(NamedTuple):
     route: str
 
 
-def _curve(t, grid, words, coset):
+def _weight_rows(grid, n):
+    """The (P, n+1) matrix of channel_weights rows, one per crossover of `grid`."""
+    return np.array([channel_weights(p, n) for p in grid]).reshape(-1, n + 1)
+
+
+def _curve(t, gammas, coset):
     # the kernel over observation chunks: z = 0 alone for a coset table
-    n = t.n
-    gammas = np.array([channel_weights(p, n) for p in grid]).reshape(-1, n + 1)
-    count = 1 if coset else 1 << n
-    chunk = max(1, _CHUNK_CELLS // (1 << n))
+    count = 1 if coset else 1 << t.n
+    chunk = max(1, _CHUNK_CELLS // (1 << t.n))
     sums = np.zeros(len(gammas))
     for start in range(0, count if len(gammas) else 0, chunk):
         zs = np.arange(start, min(start + chunk, count), dtype=np.uint32)
-        sums += _entropies(_bin_masses(words, zs, gammas))
+        sums += _entropies(_bin_masses(t.array, zs, gammas))
     return EquivocationCurve(sums / count, "coset" if coset else "full")
 
 
@@ -136,8 +137,7 @@ def equivocation_curve(t, grid):
     on the other grid points.  The table is validated once; a certified
     coset table is evaluated at z = 0 only.
     """
-    require_valid(t)
-    return _curve(t, grid, *_certify(t))
+    return _curve(t, _weight_rows(grid, t.n), is_coset_table(t))
 
 
 def total_equivocation(t, p):
@@ -147,14 +147,12 @@ def total_equivocation(t, p):
 
 def total_equivocation_linear(t, p):
     """total_equivocation of a certified coset table; NotLinearError for any other."""
-    require_valid(t)
-    words, coset = _certify(t)
-    if not coset:
+    if not is_coset_table(t):
         raise NotLinearError(
             "not a coset table: its translate by some unit vector differs from it "
             "as a partition, so H(M|Z=0) need not be the equivocation"
         )
-    return float(_curve(t, [p], words, coset).bits[0])
+    return float(_curve(t, _weight_rows([p], t.n), True).bits[0])
 
 
 def _one_observation(t, z, gammas):
@@ -162,8 +160,7 @@ def _one_observation(t, z, gammas):
     require_valid(t)
     if not 0 <= z < (1 << t.n):
         raise ValueError("z does not fit in %d bits" % t.n)
-    words = np.asarray(t.bins, dtype=np.uint32)
-    return _bin_masses(words, np.array([z], dtype=np.uint32), gammas)[:, 0, :]
+    return _bin_masses(t.array, np.array([z], dtype=np.uint32), gammas)[:, 0, :]
 
 
 def distance_profile(t, z):

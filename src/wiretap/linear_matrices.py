@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bitcore import CodeTable
+from .bitcore import CodeTable, word_rank
 
 
 class UnsupportedForm(ValueError):
@@ -77,22 +77,9 @@ def _row_words(mat):
 
 
 def gf2_rank(mat):
-    """Rank over GF(2) by Gaussian elimination on row words."""
+    """Rank over GF(2) of a 0/1 matrix, by elimination on its row words."""
     mat = np.asarray(mat) % 2
-    width = mat.shape[1]
-    rows = _row_words(mat)
-    rank = 0
-    for col in range(width):
-        bit = 1 << (width - 1 - col)
-        pivot = next((i for i in range(rank, len(rows)) if rows[i] & bit), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i] & bit:
-                rows[i] ^= rows[rank]
-        rank += 1
-    return rank
+    return word_rank(np.array(_row_words(mat), dtype=object), mat.shape[1])
 
 
 @dataclass(frozen=True)
@@ -174,12 +161,14 @@ def coset_table(codec):
     """Code table whose bin i holds the codewords of message i - 1.
 
     Messages index bins through their binary expansion (MSB first) and
-    the auxiliary words run in counter order inside each bin.
+    the auxiliary words run in counter order inside each bin, so entry
+    u = [m || v] is the XOR of the generator rows its set bits select.
     """
-    bins = []
-    for m in range(1 << codec.k):
-        bins.append([encode(codec, m, v) for v in range(1 << codec.l)])
-    return CodeTable(codec.l, codec.k, bins)
+    words = np.zeros(1, dtype=np.uint32)
+    # the lowest bit of u selects the last row: doubling from it keeps counter order
+    for row in reversed(codec.row_words):
+        words = np.concatenate([words, words ^ np.uint32(row)])
+    return CodeTable(codec.l, codec.k, words.reshape(1 << codec.k, 1 << codec.l))
 
 
 def syndrome_check(codec):

@@ -27,11 +27,12 @@ def _check_growth(t):
         raise CapExceeded("blocklength %d exceeds cap %d" % (t.n + 1, N_CAP))
 
 
-def _rasba_bins(bins):
-    out = []
-    for b in bins:
-        first = [w << 1 | (pos & 1) for pos, w in enumerate(b)]
-        out += [first, [w ^ 1 for w in first]]
+def _rasba_bins(words):
+    # (B, e) word array -> (2B, e): bin i's children are rows 2i and 2i + 1
+    first = words << 1 | (np.arange(words.shape[1], dtype=np.uint32) & 1)
+    out = np.empty((2 * len(words), words.shape[1]), dtype=np.uint32)
+    out[0::2] = first
+    out[1::2] = first ^ 1
     return out
 
 
@@ -44,14 +45,16 @@ def rasba(t):
     are on the right end.
     """
     _check_growth(t)
-    return CodeTable(t.l, t.k + 1, _rasba_bins(t.bins))
+    return CodeTable(t.l, t.k + 1, _rasba_bins(t.array))
 
 
-def _rahba_bins(bins):
-    out = []
-    for b, c in zip(bins[::2], bins[1::2]):
-        out.append([w << 1 for w in b] + [w << 1 | 1 for w in c])
-        out.append([w << 1 | 1 for w in b] + [w << 1 for w in c])
+def _rahba_bins(words):
+    # (B, e) word array -> (B, 2e): the pair (B, C) of rows 2i, 2i + 1 becomes [V; Z], [W; U]
+    b, c = words[0::2] << 1, words[1::2] << 1
+    e = words.shape[1]
+    out = np.empty((len(words), 2 * e), dtype=np.uint32)
+    out[0::2, :e], out[0::2, e:] = b, c | 1
+    out[1::2, :e], out[1::2, e:] = b | 1, c
     return out
 
 
@@ -63,7 +66,7 @@ def rahba(t):
     the table's two bins form the single pair.
     """
     _check_growth(t)
-    return CodeTable(t.l + 1, t.k, _rahba_bins(t.bins))
+    return CodeTable(t.l + 1, t.k, _rahba_bins(t.array))
 
 
 def base_table():
@@ -74,18 +77,19 @@ def base_table():
 def standard_table(l, k):
     """Form (l, k) by the standard path: RAHBA l times, RASBA k-1 times.
 
-    Each step maps a partition to a partition, so none is validated.
+    Each step maps a partition to a partition; the table is validated
+    once, when it is built from the last step's array.
     """
     if l < 0 or k < 1:
         raise ValueError("need l >= 0 and k >= 1")
     if l + k > N_CAP:
         raise CapExceeded("blocklength %d exceeds cap %d" % (l + k, N_CAP))
-    bins = base_table().bins
+    words = base_table().array
     for _ in range(l):
-        bins = _rahba_bins(bins)
+        words = _rahba_bins(words)
     for _ in range(k - 1):
-        bins = _rasba_bins(bins)
-    return CodeTable(l, k, bins)
+        words = _rasba_bins(words)
+    return CodeTable(l, k, words)
 
 
 def path_count(from_form, to_form):
@@ -109,19 +113,20 @@ def gray_matrix(l):
     """
     if l < 1:
         raise ValueError("l must be >= 1")
-    out = np.zeros((1 << l, l), dtype=np.int64)
-    for r in range(1 << l):
-        g = r ^ (r >> 1)
-        for c in range(l):
-            # column c holds bit c of the Gray word (reversed order)
-            out[r, c] = (g >> c) & 1
-    return out
+    r = np.arange(1 << l, dtype=np.int64)
+    # column c holds bit c of the Gray word (reversed order)
+    return ((r ^ (r >> 1))[:, None] >> np.arange(l)) & 1
 
 
-def _gray_words(l):
-    # row r of gray_matrix read as an MSB-first word
-    mat = gray_matrix(l)
-    return [int("".join(str(b) for b in row), 2) for row in mat]
+def _ff_words(l):
+    # the two (l, 1) bins as a (2, 2**l) array: the alternating column
+    # over the flipped Gray block T (rows of gray_matrix read MSB first),
+    # as is and upside down
+    if l < 1:
+        raise ValueError("l must be >= 1")
+    t_block = gray_matrix(l) @ (1 << np.arange(l - 1, -1, -1))
+    alt = (np.arange(1 << l) & 1) << l
+    return np.stack([alt | t_block, alt | t_block[::-1]]).astype(np.uint32)
 
 
 def closed_form_ff_bins(l):
@@ -132,11 +137,7 @@ def closed_form_ff_bins(l):
     alternating column only touches the leading position, where T is
     constant, so the overlay is a plain sum.
     """
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    t_block = _gray_words(l)
-    bin1 = [((r & 1) << l) | g for r, g in enumerate(t_block)]
-    bin2 = [((r & 1) << l) | g for r, g in enumerate(reversed(t_block))]
+    bin1, bin2 = _ff_words(l).tolist()
     return bin1, bin2
 
 
@@ -147,25 +148,18 @@ def closed_form_table(l, k):
     suffix columns.  A suffix column either starts with 0 or with 1; the
     2**(k-1) on/off states are enumerated in binary-counter order, and
     the choice of first-form bin is the most significant choice bit, so
-    bin order is deterministic.
+    bin order is deterministic.  Row r of a bin flips every suffix column
+    when r is odd, so its suffix is the state XOR (r & 1) * (2**(k-1) - 1).
     """
     if l < 1 or k < 1:
         raise ValueError("need l >= 1 and k >= 1")
     if l + k > N_CAP:
         raise CapExceeded("blocklength %d exceeds cap %d" % (l + k, N_CAP))
-    ff_bins = closed_form_ff_bins(l)
-    bins = []
-    for ff in ff_bins:
-        for state in range(1 << (k - 1)):
-            state_bits = [(state >> (k - 2 - c)) & 1 for c in range(k - 1)]
-            b = []
-            for r, w in enumerate(ff):
-                suffix = 0
-                for sb in state_bits:
-                    suffix = (suffix << 1) | ((sb + r) & 1)
-                b.append((w << (k - 1)) | suffix)
-            bins.append(b)
-    return CodeTable(l, k, bins)
+    ff = _ff_words(l)
+    states = np.arange(1 << (k - 1), dtype=np.uint32)
+    flips = (np.arange(1 << l, dtype=np.uint32) & 1) * np.uint32((1 << (k - 1)) - 1)
+    words = (ff[:, None, :] << (k - 1)) | (states[None, :, None] ^ flips)
+    return CodeTable(l, k, words.reshape(1 << k, 1 << l))
 
 
 def opposite_pairing_check(t):
@@ -176,5 +170,4 @@ def opposite_pairing_check(t):
     if t.l != 1:
         raise ValueError("opposite pairing is defined for l = 1 tables")
     require_valid(t)
-    mask = (1 << t.n) - 1
-    return all(b[0] ^ mask == b[1] for b in t.bins)
+    return bool((t.array[:, 0] ^ ((1 << t.n) - 1) == t.array[:, 1]).all())

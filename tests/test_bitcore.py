@@ -1,7 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
+from wiretap import bitcore
+from wiretap.baselines import sample_binning
 from wiretap.bitcore import (
     N_CAP,
     CapExceeded,
@@ -19,6 +22,8 @@ from wiretap.bitcore import (
     word_str,
     xor_translate,
 )
+
+from wiretap.ni_code import standard_table
 
 from golden_tables import GOLDEN, make
 
@@ -214,3 +219,101 @@ def test_parse_rejects_invalid_partition():
 def test_parse_skips_blank_lines():
     t = parse_table("1 1\n\n00 11\n\n01 10\n")
     assert tables_equal_ordered(t, make((1, 1)))
+
+
+def format_per_word(t):
+    """Reference writer: the header, then each bin's words joined by single spaces."""
+    lines = ["%d %d" % (t.l, t.k)] + [" ".join(word_str(w, t.n) for w in b) for b in t.bins]
+    return "\n".join(lines) + "\n"
+
+
+def _family_and_random_tables(max_n):
+    for n in range(1, max_n + 1):
+        for l in range(n):
+            yield standard_table(l, n - l)
+    for seed, (l, k) in enumerate(((0, 3), (1, 1), (2, 5), (3, 4), (5, 2), (1, 11), (6, 6))):
+        yield next(sample_binning(l, k, seed))
+
+
+def test_format_equals_the_per_word_writer_and_round_trips():
+    for t in _family_and_random_tables(12):
+        text = format_table(t)
+        assert text == format_per_word(t)
+        assert tables_equal_ordered(parse_table(text), t)
+        # canonical text takes the array decoder
+        assert tables_equal_ordered(bitcore._parse_canonical(text), t)
+
+
+def test_format_bounds_its_blocks(monkeypatch):
+    """Assembling a few bins at a time writes the same text as one block."""
+    tables = [standard_table(3, 5), next(sample_binning(2, 6, seed=3)), make((0, 1))]
+    whole = [format_table(t) for t in tables]
+    monkeypatch.setattr(bitcore, "_FORMAT_BYTES", 50)
+    assert [format_table(t) for t in tables] == whole
+
+
+def test_non_canonical_spellings_parse_to_the_same_table():
+    for t in (make((2, 2)), make((0, 1)), standard_table(3, 3)):
+        text = format_table(t)
+        lines = text.splitlines()
+        spellings = [
+            text.rstrip("\n"),
+            text.replace("\n", "\r\n"),
+            text.replace(" ", "\t"),
+            text.replace(" ", "  "),
+            "\n".join(lines[:1] + [""] + lines[1:]) + "\n\n",
+            " " + text.replace("\n", " \n"),
+            "%d  %d\n" % (t.l, t.k) + "\n".join(lines[1:]),
+        ]
+        for other in spellings:
+            assert other != text and bitcore._parse_canonical(other) is None
+            assert tables_equal_ordered(parse_table(other), t)
+
+
+def _outcome(text):
+    try:
+        t = parse_table(text)
+    except TableParseError as exc:
+        return ("error", exc.line, str(exc))
+    return ("table", t.l, t.k, t.bins)
+
+
+def test_single_character_corruptions_fail_as_the_scanner_does(monkeypatch):
+    """Every one-character edit of canonical text gives the scanner's outcome, line number included."""
+    texts = [format_table(make((2, 2))), format_table(make((1, 1))), format_table(standard_table(0, 2))]
+    corrupted = []
+    for text in texts:
+        for i in range(len(text)):
+            for c in "01 \n\tx2\xe9\r":
+                if c != text[i]:
+                    corrupted.append(text[:i] + c + text[i + 1 :])
+            corrupted.append(text[:i] + text[i + 1 :])
+    got = [_outcome(text) for text in corrupted]
+    monkeypatch.setattr(bitcore, "_parse_canonical", lambda text: None)
+    assert got == [_outcome(text) for text in corrupted]
+    errors = [o for o in got if o[0] == "error"]
+    assert len(errors) > 0.8 * len(got)
+    assert sum(o[1] is not None and o[1] > 1 for o in errors) > len(errors) // 2
+
+
+def test_table_array_is_read_only_and_bins_are_fresh():
+    source = np.array([[0, 3], [1, 2]], dtype=np.int64)
+    t = CodeTable(1, 1, source)
+    assert t.array.dtype == np.uint32 and not t.array.flags.writeable
+    with pytest.raises(ValueError):
+        t.array[0, 0] = 1
+    source[0, 0] = 1
+    assert t.bins == [[0, 3], [1, 2]]
+    bins = t.bins
+    bins[0][0] = 1
+    assert bins is not t.bins and t.bins == [[0, 3], [1, 2]]
+    assert all(type(w) is int for b in t.bins for w in b)
+    assert validate_table(t).ok and t.words() == [0, 3, 1, 2]
+    # a table that is not a partition keeps its bins as given and is never valid
+    ragged = CodeTable(1, 1, [[0], [1, 2, 3]])
+    assert ragged.array is None and ragged.bins == [[0], [1, 2, 3]] and not validate_table(ragged).ok
+    with pytest.raises(ValueError):
+        format_table(ragged)
+    assert "integers" in "; ".join(validate_table(CodeTable(1, 1, [[0.0, 3.0], [1.0, 2.0]])).problems)
+    wide = CodeTable(1, 1, [[0, 1 << 40], [1, 2]])
+    assert wide.array is None and wide.bins == [[0, 1 << 40], [1, 2]] and not validate_table(wide).ok

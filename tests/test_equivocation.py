@@ -268,3 +268,51 @@ def test_curve_rejects_invalid_tables_and_crossovers():
     with pytest.raises(ValueError):
         equivocation_curve(make((1, 1)), [0.2, 1.5])
     assert equivocation_curve(make((1, 1)), []).bits.tolist() == []
+
+
+def unit_vector_certificate(t):
+    """Reference: XOR by each of the n unit vectors maps bins onto bins.
+
+    Unit vectors generate every word, so this holds iff every translate
+    of the partition is the partition, i.e. iff the bins are the cosets
+    of one subgroup.  O(n * 2**n); the oracle for is_coset_table.
+    """
+    words = np.asarray(t.bins, dtype=np.uint32)
+    bin_of = np.empty(1 << t.n, dtype=np.int32)
+    bin_of[words] = np.arange(len(words), dtype=np.int32)[:, None]
+    for j in range(t.n):
+        image = bin_of[words ^ (1 << j)]
+        if (image != image[:, :1]).any():
+            return False
+    return True
+
+
+def test_certificate_equals_the_unit_vector_oracle():
+    """is_coset_table agrees with the unit-vector test on every table shape it is cheap to list."""
+    rng = random.Random(29)
+    tables = list(enumerate_binnings(2, 1)) + list(enumerate_binnings(1, 2))
+    tables.append(CodeTable(2, 1, [[0, 1, 2, 7], [4, 5, 6, 3]]))
+    for t in _family_and_coset_tables(10):
+        bins = t.bins
+        rng.shuffle(bins)
+        for b in bins:
+            rng.shuffle(b)
+        permuted = CodeTable(t.l, t.k, bins)
+        # one word exchanged between the first two bins: a coset table only by accident
+        bins = t.bins
+        bins[0][-1], bins[1][0] = bins[1][0], bins[0][-1]
+        tables += [t, permuted, xor_translate(permuted, rng.randrange(1 << t.n)), CodeTable(t.l, t.k, bins)]
+    verdicts = [is_coset_table(t) for t in tables]
+    assert verdicts == [unit_vector_certificate(t) for t in tables]
+    # both answers occur in number, so the agreement is not one-sided
+    assert 100 < sum(verdicts) < len(verdicts) - 100
+
+
+def test_channel_weights_do_not_underflow_near_either_endpoint():
+    n = 24
+    t = standard_table(4, 20)
+    for p in (1e-12, 1 - 1e-12, 1 - 1e-14):
+        gamma = channel_weights(p, n)
+        assert abs(sum(math.comb(n, d) * gamma[d] for d in range(n + 1)) - 1.0) < 1e-12
+        for z in (0, 0xABCDE):
+            assert abs(bin_posteriors(t, z, p).sum() - 1.0) < 1e-12

@@ -279,3 +279,38 @@ def test_standard_table_domain():
         standard_table(1, 0)
     with pytest.raises(ValueError):
         standard_table(-1, 2)
+
+
+def rasba_lists(bins):
+    """Reference RASBA on lists: bin i's children append 0/1 in alternation, then the reverse."""
+    out = []
+    for b in bins:
+        first = [w << 1 | (pos & 1) for pos, w in enumerate(b)]
+        out += [first, [w ^ 1 for w in first]]
+    return out
+
+
+def rahba_lists(bins):
+    """Reference RAHBA on lists: the pair (B, C) becomes [B||0; C||1] and [B||1; C||0]."""
+    out = []
+    for b, c in zip(bins[::2], bins[1::2]):
+        out.append([w << 1 for w in b] + [w << 1 | 1 for w in c])
+        out.append([w << 1 | 1 for w in b] + [w << 1 for w in c])
+    return out
+
+
+def test_array_constructions_equal_the_list_recursion():
+    """standard_table and closed_form_table equal the per-word recursion in order, for every n <= 14."""
+    for l in range(0, 14):
+        bins = [[0], [1]]
+        for _ in range(l):
+            bins = rahba_lists(bins)
+        for k in range(1, 15 - l):
+            if k > 1:
+                bins = rasba_lists(bins)
+            assert standard_table(l, k).bins == bins, (l, k)
+            if l >= 1:
+                assert closed_form_table(l, k).bins == bins, (l, k)
+            if l + k < 14:
+                assert rasba(standard_table(l, k)).bins == rasba_lists(bins)
+                assert rahba(standard_table(l, k)).bins == rahba_lists(bins)
