@@ -25,6 +25,10 @@ from . import baselines, bitcore, equivocation, linear_matrices, lp_limit, ni_co
 
 CSV_SCHEMA = "#schema=1"
 
+# largest --p-grid point count and --samples value; past them exit 3
+GRID_POINTS_CAP = 100_000
+SAMPLES_CAP = 100_000
+
 
 class UsageError(Exception):
     pass
@@ -59,6 +63,8 @@ def parse_grid(text):
         raise UsageError("grid must satisfy 0 <= start <= stop <= 1")
     if points < 2:
         raise UsageError("grid needs at least 2 points")
+    if points > GRID_POINTS_CAP:
+        raise bitcore.CapExceeded("grid of %d points exceeds cap %d" % (points, GRID_POINTS_CAP))
     return [float(p) for p in np.linspace(start, stop, points)]
 
 
@@ -159,6 +165,10 @@ def cmd_matrices(args):
 
 def cmd_compare(args):
     l, k = parse_form(args.form)
+    if args.samples < 1:
+        raise UsageError("--samples must be at least 1")
+    if args.samples > SAMPLES_CAP:
+        raise bitcore.CapExceeded("--samples %d exceeds cap %d" % (args.samples, SAMPLES_CAP))
     grid = _grid_from_args(args)
     record = baselines.compare_form(
         l, k, grid, samples=args.samples, seed=args.seed, exhaustive=args.exhaustive
@@ -271,9 +281,6 @@ def main(argv=None):
     except bitcore.CapExceeded as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 3
-    except bitcore.TableParseError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 2
     except (ValueError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2

@@ -64,18 +64,20 @@ _CHUNK_CELLS = 1 << 22
 _TINY = np.finfo(float).tiny
 
 
-def _bin_masses(words, zs, gammas):
-    """The kernel: (P, Z, 2**k) bin masses for observations zs and P weight rows.
+def _distances(words, zs):
+    """(Z, 2**k, 2**l) Hamming distances from each observation of zs to each word."""
+    return np.bitwise_count(np.bitwise_xor.outer(zs, words))
 
-    `words` is the (2**k, 2**l) word array of a valid table and `gammas`
-    a (P, n+1) matrix.  Entry [j, a, i] sums gammas[j, d] over the words
-    of bin i at distance d from zs[a]: the posterior of bin i when the
-    row is channel_weights.  The distances are computed once per call.
+
+def _bin_masses(dist, gammas):
+    """The kernel: (P, Z, 2**k) bin masses for P weight rows, in one gather.
+
+    `dist` is _distances of a valid table's words and `gammas` a
+    (P, n+1) matrix.  Entry [j, a, i] sums gammas[j, d] over the words
+    of bin i at distance d from observation a: the posterior of bin i
+    when the row is channel_weights.
     """
-    dist = np.bitwise_count(np.bitwise_xor.outer(zs, words))
-    step = max(1, _CHUNK_CELLS // dist.size)
-    blocks = [gammas[j : j + step] for j in range(0, len(gammas), step)]
-    return np.concatenate([np.take(block, dist, axis=1).sum(axis=-1) for block in blocks])
+    return np.take(gammas, dist, axis=1).sum(axis=-1)
 
 
 def _entropies(masses):
@@ -119,13 +121,17 @@ def _weight_rows(grid, n):
 
 
 def _curve(t, gammas, coset):
-    # the kernel over observation chunks: z = 0 alone for a coset table
+    # the kernel over observation chunks, and within each over blocks of
+    # weight rows, so no gather holds much more than _CHUNK_CELLS cells;
+    # z = 0 alone for a coset table
     count = 1 if coset else 1 << t.n
     chunk = max(1, _CHUNK_CELLS // (1 << t.n))
     sums = np.zeros(len(gammas))
     for start in range(0, count if len(gammas) else 0, chunk):
-        zs = np.arange(start, min(start + chunk, count), dtype=np.uint32)
-        sums += _entropies(_bin_masses(t.array, zs, gammas))
+        dist = _distances(t.array, np.arange(start, min(start + chunk, count), dtype=np.uint32))
+        step = max(1, _CHUNK_CELLS // dist.size)
+        for j in range(0, len(gammas), step):
+            sums[j : j + step] += _entropies(_bin_masses(dist, gammas[j : j + step]))
     return EquivocationCurve(sums / count, "coset" if coset else "full")
 
 
@@ -155,12 +161,12 @@ def total_equivocation_linear(t, p):
     return float(_curve(t, _weight_rows([p], t.n), True).bits[0])
 
 
-def _one_observation(t, z, gammas):
-    # the kernel at a single observation: one row of bin masses per weight row
+def _one_observation(t, z):
+    # the distances of one valid observation z to every word, (2**k, 2**l)
     require_valid(t)
     if not 0 <= z < (1 << t.n):
         raise ValueError("z does not fit in %d bits" % t.n)
-    return _bin_masses(t.array, np.array([z], dtype=np.uint32), gammas)[:, 0, :]
+    return _distances(t.array, np.array([z], dtype=np.uint32))[0]
 
 
 def distance_profile(t, z):
@@ -170,31 +176,14 @@ def distance_profile(t, z):
     bin i at each distance from z.  Rows sum to 2**l and column j sums
     to C(n, j) over all bins, since the bins partition the space.
     """
-    return _one_observation(t, z, np.eye(t.n + 1)).T.astype(np.int64)
+    dist = _one_observation(t, z)
+    cells = np.arange(len(dist), dtype=np.int64)[:, None] * (t.n + 1) + dist
+    return np.bincount(cells.ravel(), minlength=len(dist) * (t.n + 1)).reshape(len(dist), t.n + 1)
 
 
 def bin_posteriors(t, z, p):
     """Bin probabilities given z: the kernel at one observation."""
-    return _one_observation(t, z, channel_weights(p, t.n)[None, :])[0]
-
-
-def bin_posteriors_direct(t, z, p):
-    """Bin probabilities given z by direct per-word summation.
-
-    Evaluates p**d * q**(n-d) separately for every codeword instead of
-    going through the kernel.  Slower; kept as an independent route for
-    cross-checking the kernel.
-    """
-    n = t.n
-    q = 1.0 - p
-    out = np.zeros(len(t.bins))
-    for i, b in enumerate(t.bins):
-        acc = 0.0
-        for w in b:
-            d = (w ^ z).bit_count()
-            acc += p ** d * q ** (n - d)
-        out[i] = acc
-    return out
+    return _bin_masses(_one_observation(t, z)[None], channel_weights(p, t.n)[None, :])[0, 0]
 
 
 def conditional_equivocation(t, z, p):

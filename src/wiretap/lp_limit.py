@@ -13,11 +13,13 @@ code of that shape:
     subject to  A x = b,     column i of A is candidate row r_i
                 x >= 0
 
-The optimum sits at a vertex, so the solver below is a dense two-phase
-primal simplex; no external solver is involved.  Only f depends on the
-crossover p, so a curve is one sweep: the rows, A and b are built once,
-phase 1 runs once, and each grid point starts phase 2 from the previous
-point's optimal basis, which stays feasible.
+The optimum sits at a vertex, so the solver below is a dense one-phase
+primal simplex; no external solver is involved.  It starts at the
+pure-row vertex (all e words of a bin at one distance d, C(n, d) / e
+such bins): B = e*I, x_B = b / e >= 0.  Only f depends on the crossover
+p, so a curve is one sweep: the rows, A and b are built once, and each
+grid point starts from the previous point's optimal basis, which stays
+feasible.
 
 Pricing is Dantzig's rule (largest reduced cost, lowest index on ties);
 after 50 consecutive degenerate pivots it falls back to Bland's rule
@@ -58,7 +60,7 @@ _MAX_PIVOTS = 100_000
 
 
 class SimplexError(RuntimeError):
-    """Numerical failure inside the simplex (singular basis, guard trip)."""
+    """No pure-row start, or a numerical failure (singular basis, guard trip)."""
 
 
 class CountMismatch(RuntimeError):
@@ -154,8 +156,7 @@ class LpSolution:
     basis: list
     selected: list     # [(row tuple, multiplicity)] for x_i > 0
     upper: float       # dual bound: no feasible point scores above it
-    pivots_phase1: int  # 0 when the solve started from a given basis
-    pivots_phase2: int
+    pivots_phase2: int  # simplex pivots from the starting basis
     bland_fallbacks: int
 
 
@@ -175,7 +176,6 @@ class LpCurve:
     upper: np.ndarray    # dual bound per point
     bases: list          # optimal basis per point, sorted column indices
     candidate_rows: int
-    pivots_phase1: int
     pivots_phase2: list  # per point
     bland_fallbacks: int
 
@@ -187,7 +187,6 @@ class LpCurve:
         """Solver counters as plain JSON-ready values."""
         return {
             "candidate_rows": self.candidate_rows,
-            "pivots_phase1": self.pivots_phase1,
             "pivots_phase2": list(self.pivots_phase2),
             "bland_fallbacks": self.bland_fallbacks,
             "max_dual_gap": float(np.max(self.upper - self.bits, initial=0.0)),
@@ -206,11 +205,11 @@ def objective_coefficients(rows, gamma):
     return f
 
 
-def build_lp(n, e, p, cap=ROW_CAP):
+def build_lp(n, e, p):
     """Assemble the LP for blocklength n, bin size e, crossover p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    rows = enumerate_rows(n, e, cap=cap)
+    rows = enumerate_rows(n, e)
     A = rows.T.astype(float)
     f = objective_coefficients(A.T, channel_weights(p, n))
     b = np.array([math.comb(n, j) for j in range(n + 1)], dtype=float)
@@ -257,47 +256,31 @@ def _pivot_loop(A, b, c, basis):
     raise SimplexError("pivot guard tripped after %d iterations" % _MAX_PIVOTS)
 
 
-def _phase1(A, b):
-    """A feasible basis of A x = b, x >= 0, and the pivots it took."""
-    m, ncols = A.shape
-    if np.any(b < 0):
-        raise ValueError("right-hand side must be nonnegative")
-    # artificial columns, maximize minus their sum
-    A1 = np.hstack([A, np.eye(m)])
-    c1 = np.zeros(ncols + m)
-    c1[ncols:] = -1.0
-    basis = list(range(ncols, ncols + m))
-    xb, _, pivots, fallbacks = _pivot_loop(A1, b, c1, basis)
-    if float(c1[basis] @ xb) < -1e-7:
-        raise SimplexError("phase 1 ended infeasible")
-    # pivot any zero-level artificial out on an original column
-    for r in range(m):
-        if basis[r] >= ncols:
-            B = A1[:, basis]
-            tableau_row = np.linalg.solve(B, A)[r]
-            options = [j for j in np.nonzero(np.abs(tableau_row) > TOL)[0] if j not in basis]
-            if not options:
-                raise SimplexError("dependent constraint row; instance is malformed")
-            basis[r] = int(options[0])
-    return basis, pivots, fallbacks
+def _pure_basis(n, e):
+    """Columns of e*u_0, ..., e*u_n: in colexicographic order e*u_d is
+    the last of the C(e+d, d) rows that are zero past position d."""
+    return [math.comb(e + d, d) - 1 for d in range(n + 1)]
 
 
 def solve_lp(inst, basis=None):
     """Optimal vertex of the instance; deterministic for a fixed input.
 
     `basis` is a feasible starting basis, such as the optimal basis of
-    the same form at another p (A and b do not depend on p); phase 1
-    runs only when it is None.  The returned multiplicities are those of
-    an optimal basic feasible solution: at most n+1 of them are positive
+    the same form at another p (A and b do not depend on p); without it
+    the solve starts at the pure-row vertex, or raises SimplexError if A
+    lacks those columns.  The returned multiplicities are those of an
+    optimal basic feasible solution: at most n+1 of them are positive
     and each is integral up to roundoff, because the vertices of this
     polytope are integer.
     """
     A, b, f = inst.A, inst.b, inst.f
     if basis is None:
-        basis, pivots1, fallbacks1 = _phase1(A, b)
+        basis = _pure_basis(inst.n, inst.e)
+        if basis[-1] >= A.shape[1] or not np.array_equal(A[:, basis], inst.e * np.eye(len(basis))):
+            raise SimplexError("instance lacks the pure-row columns e*u_d; no starting vertex")
     else:
-        basis, pivots1, fallbacks1 = list(basis), 0, 0
-    xb, y, pivots2, fallbacks2 = _pivot_loop(A, b, f, basis)
+        basis = list(basis)
+    xb, y, pivots, fallbacks = _pivot_loop(A, b, f, basis)
     x = np.zeros(A.shape[1])
     x[basis] = xb
     slack = max(0.0, float(np.max(f - y @ A)))
@@ -311,20 +294,19 @@ def solve_lp(inst, basis=None):
         basis=sorted(basis),
         selected=selected,
         upper=float(b @ y) + slack * float(b.sum()) / inst.e,
-        pivots_phase1=pivots1,
-        pivots_phase2=pivots2,
-        bland_fallbacks=fallbacks1 + fallbacks2,
+        pivots_phase2=pivots,
+        bland_fallbacks=fallbacks,
     )
 
 
-def lp_limit_curve(l, k, grid, cap=ROW_CAP):
+def lp_limit_curve(l, k, grid):
     """LP optimum in bits for form (l, k) at every p of `grid`.
 
-    One sweep in grid order: the LP is built and phase 1 solved at the
-    first interior point, and each later point warm-starts from the
-    previous optimal basis.  Every p is checked before anything is
-    solved; rows are enumerated only if some p lies strictly inside
-    (0, 1), so CapExceeded is raised only then.
+    One sweep in grid order: the LP is built and solved from the
+    pure-row vertex at the first interior point, and each later point
+    warm-starts from the previous optimal basis.  Every p is checked
+    before anything is solved; rows are enumerated only if some p lies
+    strictly inside (0, 1), so CapExceeded is raised only then.
     """
     if l < 0 or k < 1:
         raise ValueError("need l >= 0 and k >= 1")
@@ -333,7 +315,7 @@ def lp_limit_curve(l, k, grid, cap=ROW_CAP):
         raise ValueError("p must lie in [0, 1]")
     n, e = l + k, 1 << l
     bits, upper, bases, pivots2 = [], [], [], []
-    pivots1 = fallbacks = 0
+    fallbacks = 0
     inst = basis = None
     for p in grid:
         if p in (0.0, 1.0):
@@ -343,7 +325,7 @@ def lp_limit_curve(l, k, grid, cap=ROW_CAP):
             pivots2.append(0)
             continue
         if inst is None:
-            inst = build_lp(n, e, p, cap=cap)
+            inst = build_lp(n, e, p)
         else:
             inst = replace(inst, p=p, f=objective_coefficients(inst.A.T, channel_weights(p, n)))
         sol = solve_lp(inst, basis)
@@ -351,7 +333,6 @@ def lp_limit_curve(l, k, grid, cap=ROW_CAP):
         bits.append(sol.objective)
         upper.append(sol.upper)
         bases.append(sol.basis)
-        pivots1 += sol.pivots_phase1
         pivots2.append(sol.pivots_phase2)
         fallbacks += sol.bland_fallbacks
     return LpCurve(
@@ -361,25 +342,24 @@ def lp_limit_curve(l, k, grid, cap=ROW_CAP):
         upper=np.array(upper),
         bases=bases,
         candidate_rows=math.comb(e + n, e),
-        pivots_phase1=pivots1,
         pivots_phase2=pivots2,
         bland_fallbacks=fallbacks,
     )
 
 
-def lp_limit_bits(l, k, p, cap=ROW_CAP):
+def lp_limit_bits(l, k, p):
     """LP optimum in bits for form (l, k) at crossover p.
 
     A one-point lp_limit_curve.  At p = 0 or p = 1 the observation pins
     the codeword, equivocation 0; those endpoints are returned by
     convention instead of solving a degenerate program.
     """
-    return float(lp_limit_curve(l, k, [p], cap=cap).bits[0])
+    return float(lp_limit_curve(l, k, [p]).bits[0])
 
 
-def lp_limit_rate(l, k, p, cap=ROW_CAP):
+def lp_limit_rate(l, k, p):
     """lp_limit_bits divided by the blocklength n = l + k."""
-    return lp_limit_bits(l, k, p, cap=cap) / (l + k)
+    return lp_limit_bits(l, k, p) / (l + k)
 
 
 def optimal_rows_l1(n):

@@ -33,7 +33,6 @@ from wiretap.baselines import (
 from wiretap.bitcore import tables_equal_ordered, tables_equal_partition
 from wiretap.equivocation import (
     bin_posteriors,
-    bin_posteriors_direct,
     conditional_equivocation,
     equivocation_rate,
     total_equivocation,
@@ -58,6 +57,7 @@ from wiretap.ni_code import (
 )
 
 from golden_tables import GOLDEN, GRAY_L2, GRAY_L3, make
+from posterior_oracle import bin_posteriors_direct
 
 GRID = [float(p) for p in np.linspace(0.0, 0.5, 101)]
 P_SPOTS = (0.05, 0.15, 0.25, 0.35, 0.45)

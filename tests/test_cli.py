@@ -3,7 +3,7 @@ import json
 import pytest
 
 from wiretap import baselines, cli, ni_code
-from wiretap.bitcore import format_table, parse_table, tables_equal_ordered
+from wiretap.bitcore import TableParseError, format_table, parse_table, tables_equal_ordered
 from wiretap.equivocation import total_equivocation
 from wiretap.linear_matrices import build_codec, format_matrix
 
@@ -84,9 +84,8 @@ def test_limit_csv_bytes_and_json_solver_counters(capsys):
     code, out, _ = run(capsys, argv + ["--format", "json"])
     assert code == 0
     lp = json.loads(out)["metadata"]["lp"]
-    assert set(lp) == {"candidate_rows", "pivots_phase1", "pivots_phase2", "bland_fallbacks", "max_dual_gap"}
+    assert set(lp) == {"candidate_rows", "pivots_phase2", "bland_fallbacks", "max_dual_gap"}
     assert lp["candidate_rows"] == 1287
-    assert lp["pivots_phase1"] > 0
     assert len(lp["pivots_phase2"]) == 6
     assert lp["pivots_phase2"][0] == 0
     assert lp["bland_fallbacks"] >= 0
@@ -189,6 +188,42 @@ def test_equivocation_bad_table_names_line(tmp_path, capsys):
     code, _, err = run(capsys, ["equivocation", "--table-in", str(table_path), "--p", "0.1"])
     assert code == 2
     assert "line 3" in err
+
+
+def test_table_parse_errors_exit_2_with_the_parser_message(tmp_path, capsys):
+    text = "1 1\n00 11\n01 1x\n"
+    with pytest.raises(TableParseError) as exc:
+        parse_table(text)
+    table_path = tmp_path / "bad.txt"
+    table_path.write_text(text)
+    assert run(capsys, ["equivocation", "--table-in", str(table_path), "--p", "0.1"]) == (2, "", "error: %s\n" % exc.value)
+
+
+def test_huge_grids_exit_3_before_allocating(tmp_path, capsys, monkeypatch):
+    table_path = tmp_path / "t.txt"
+    table_path.write_text(format_table(make((1, 1))))
+    huge = "0:0.5:%d" % 10 ** 14
+    for argv in (["limit", "--form", "1,2"], ["equivocation", "--table-in", str(table_path)],
+                 ["compare", "--form", "1,1", "--samples", "4"]):
+        code, out, err = run(capsys, argv + ["--p-grid", huge])
+        assert (code, out) == (3, "")
+        assert err == "error: grid of %d points exceeds cap %d\n" % (10 ** 14, cli.GRID_POINTS_CAP)
+    monkeypatch.setattr(cli, "GRID_POINTS_CAP", 5)
+    assert run(capsys, ["limit", "--form", "1,2", "--p-grid", "0:0.5:5"])[0] == 0
+    assert run(capsys, ["limit", "--form", "1,2", "--p-grid", "0:0.5:6"])[0] == 3
+
+
+def test_sample_counts_are_checked_before_sampling(capsys, monkeypatch):
+    argv = ["compare", "--form", "1,1", "--p-grid", "0:0.5:2", "--samples"]
+    for bad in ("0", "-3"):
+        code, out, err = run(capsys, argv + [bad])
+        assert (code, out, err) == (1, "", "error: --samples must be at least 1\n")
+    code, _, err = run(capsys, argv + [str(cli.SAMPLES_CAP + 1)])
+    assert code == 3
+    assert err == "error: --samples %d exceeds cap %d\n" % (cli.SAMPLES_CAP + 1, cli.SAMPLES_CAP)
+    monkeypatch.setattr(cli, "SAMPLES_CAP", 4)
+    assert run(capsys, argv + ["4"])[0] == 0
+    assert run(capsys, argv + ["5"])[0] == 3
 
 
 def test_equivocation_missing_file(tmp_path, capsys):

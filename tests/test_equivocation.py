@@ -10,7 +10,6 @@ from wiretap.bitcore import CodeTable, partition_of, xor_translate
 from wiretap.equivocation import (
     NotLinearError,
     bin_posteriors,
-    bin_posteriors_direct,
     channel_weights,
     conditional_equivocation,
     distance_profile,
@@ -24,6 +23,7 @@ from wiretap.linear_matrices import build_codec, coset_table, is_linear_form
 from wiretap.ni_code import standard_table
 
 from golden_tables import make
+from posterior_oracle import bin_posteriors_direct
 
 
 def entropy_bits(probs):
@@ -76,6 +76,18 @@ def test_distance_profile_domain():
         distance_profile(t, 4)
     with pytest.raises(ValueError):
         distance_profile(CodeTable(1, 1, [[0, 1], [2, 2]]), 0)
+
+
+def test_distance_profile_equals_the_per_word_count():
+    tables = [make((2, 2)), standard_table(3, 4), next(sample_binning(3, 4, seed=5)), next(sample_binning(4, 10, seed=1))]
+    for t in tables:
+        for z in (0, 1, 0b1011, (1 << t.n) - 1):
+            want = np.zeros((len(t.bins), t.n + 1), dtype=np.int64)
+            for i, b in enumerate(t.bins):
+                for w in b:
+                    want[i, (w ^ z).bit_count()] += 1
+            got = distance_profile(t, z)
+            assert got.dtype == np.int64 and got.tolist() == want.tolist()
 
 
 def test_posterior_routes_agree():
@@ -258,6 +270,29 @@ def test_curve_chunks_agree_with_one_pass(monkeypatch):
     for t, want in zip(tables, whole):
         assert np.allclose(equivocation_curve(t, grid).bits, want, rtol=0, atol=1e-12)
     assert distance_profile(tables[0], 5).tolist() == profile.tolist()
+
+
+def test_every_gather_stays_within_the_chunk_budget(monkeypatch):
+    """Over a 1,001-point grid no single gather exceeds max(_CHUNK_CELLS, 2**n) cells."""
+    grid = [float(p) for p in np.linspace(0.0, 0.5, 1001)]
+    tables = [next(sample_binning(2, 5, seed=3)), standard_table(2, 12)]
+    want = [equivocation_curve(t, grid).bits for t in tables]
+    gather = equivocation._bin_masses
+    calls = []
+
+    def spy(dist, gammas):
+        n = gammas.shape[1] - 1
+        assert len(gammas) * dist.size <= max(equivocation._CHUNK_CELLS, 1 << n)
+        calls.append(len(gammas))
+        return gather(dist, gammas)
+
+    monkeypatch.setattr(equivocation, "_bin_masses", spy)
+    for t, bits, route in zip(tables, want, ("full", "coset")):
+        calls.clear()
+        curve = equivocation_curve(t, grid)
+        assert curve.route == route
+        assert curve.bits.tolist() == bits.tolist()
+        assert sum(calls) == len(grid) and len(calls) > 1
 
 
 def test_curve_rejects_invalid_tables_and_crossovers():

@@ -7,11 +7,12 @@ import scipy.optimize
 
 from wiretap import lp_limit
 from wiretap.baselines import sample_binning
-from wiretap.bitcore import CapExceeded
+from wiretap.bitcore import N_CAP, CapExceeded
 from wiretap.equivocation import channel_weights, distance_profile, equivocation_rate
 from wiretap.lp_limit import (
     CountMismatch,
     LpInstance,
+    SimplexError,
     appendix_count,
     build_lp,
     enumerate_rows,
@@ -281,7 +282,7 @@ def test_curve_counters():
     curve = lp_limit_curve(3, 2, grid)
     stats = curve.stats()
     assert stats["candidate_rows"] == math.comb(8 + 5, 8)
-    assert stats["pivots_phase1"] > 0
+    assert "pivots_phase1" not in stats
     assert len(stats["pivots_phase2"]) == len(grid)
     assert stats["pivots_phase2"][0] == stats["pivots_phase2"][-1] == 0
     assert curve.bases[0] is None and len(curve.bases[1]) == 6
@@ -289,6 +290,35 @@ def test_curve_counters():
     assert lp_limit_curve(8, 8, [0.0, 1.0]).bits.tolist() == [0.0, 0.0]
     with pytest.raises(ValueError):
         lp_limit_curve(1, 2, [0.1, 1.5])
+
+
+def test_pure_basis_indexes_the_pure_rows():
+    """Column C(e+d, d) - 1 of enumerate_rows is e*u_d for every (n, e) with N <= 1e5."""
+    forms = 0
+    # every bin size e = 2**l the LP uses, and every other e up to 16
+    sizes = sorted(set(range(1, 17)) | {1 << l for l in range(17)})
+    for n in range(1, N_CAP + 1):
+        for e in sizes:
+            if math.comb(e + n, e) > 100_000:
+                break
+            basis = lp_limit._pure_basis(n, e)
+            assert np.array_equal(enumerate_rows(n, e)[basis], e * np.eye(n + 1, dtype=np.int64))
+            forms += 1
+    assert forms == 237
+
+
+def test_solve_lp_needs_the_pure_rows():
+    inst = build_lp(3, 2, 0.2)
+    want = solve_lp(inst).objective
+    # the same columns in reverse order: the LP is unchanged, the start is gone
+    flipped = LpInstance(n=3, e=2, p=0.2, rows=inst.rows[::-1], f=inst.f[::-1], A=inst.A[:, ::-1], b=inst.b)
+    with pytest.raises(SimplexError):
+        solve_lp(flipped)
+    assert abs(solve_lp(flipped, [len(inst.f) - 1 - i for i in solve_lp(inst).basis]).objective - want) < 1e-12
+    # too few columns to hold the last pure row
+    short = LpInstance(n=3, e=2, p=0.2, rows=inst.rows[:5], f=inst.f[:5], A=inst.A[:, :5], b=inst.b)
+    with pytest.raises(SimplexError):
+        solve_lp(short)
 
 
 def test_bland_fallback_reaches_the_same_optimum(monkeypatch):
