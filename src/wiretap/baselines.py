@@ -106,22 +106,29 @@ def compare_form(l, k, p_grid, samples=DEFAULT_SAMPLES, seed=0, exhaustive=False
         raise ValueError("exhaustive equivocation past n = 12 is not supported here")
     baseline = enumerate_binnings(l, k) if exhaustive else sample_binning(l, k, seed, samples)
     grid = [float(p) for p in p_grid]
-    # one weight matrix for the grid; one curve per table, streamed
+    # one weight matrix for the grid; one curve per table, streamed into
+    # running max, sum and min vectors (the sum in extended precision where
+    # the platform has it), so memory does not grow with samples
     gammas = _weight_rows(grid, n)
     family = standard_table(l, k)
     ni = _curve(family, gammas, is_coset_table(family)).bits / n
-    # rates[j] holds every baseline table's rate at grid[j]
-    rates = np.array([_curve(t, gammas, is_coset_table(t)).bits / n for t in baseline]).T.copy()
+    top, bottom = np.full(len(grid), -np.inf), np.full(len(grid), np.inf)
+    total = np.zeros(len(grid), dtype=np.longdouble)
+    for count, t in enumerate(baseline, 1):
+        rates = _curve(t, gammas, is_coset_table(t)).bits / n
+        np.maximum(top, rates, out=top)
+        np.minimum(bottom, rates, out=bottom)
+        total += rates
     limits = lp_limit_curve(l, k, grid).rates
     rows = [
         {"p": p, "ni_rate": float(ni_p), "lp_limit": float(limit),
-         "inf_limit": infinite_blocklength_limit(p, k / n), "rand_max": float(at_p.max()),
-         "rand_mean": float(at_p.mean()), "rand_min": float(at_p.min())}
-        for p, ni_p, limit, at_p in zip(grid, ni, limits, rates)
+         "inf_limit": infinite_blocklength_limit(p, k / n), "rand_max": float(hi),
+         "rand_mean": float(sum_p / count), "rand_min": float(lo)}
+        for p, ni_p, limit, hi, sum_p, lo in zip(grid, ni, limits, top, total, bottom)
     ]
     return {
         "form": (l, k),
-        "samples": rates.shape[1],
+        "samples": count,
         "seed": None if exhaustive else seed,
         "algorithm": None if exhaustive else RNG_ALGORITHM,
         "exhaustive": bool(exhaustive),

@@ -64,8 +64,7 @@ def word_rank(words, n):
     """Rank over GF(2) of a 1-D array of n-bit words.
 
     Gaussian elimination one pivot bit at a time, each step one array
-    operation over all words.  An object array of Python ints serves
-    for words wider than 64 bits.
+    operation over all words.
     """
     rank = 0
     for bit in range(n - 1, -1, -1):

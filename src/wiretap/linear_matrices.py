@@ -6,6 +6,10 @@ the n x k transposed parity-check H_T follow fixed entry patterns; a
 built codec is checked to satisfy G . H_T = [I_k ; 0] over GF(2), which
 makes message recovery from a codeword a single matrix multiply.
 
+Words are ints read MSB first; a matrix row is one word (an integer
+product with the bit weights), and u . M over GF(2) is one parity per
+column word of M, so the codec works on word arrays throughout.
+
 Encoding maps a message m (k bits) and auxiliary word v (l bits) to
 x = [m || v] G; the 2**l codewords sharing a message form one coset, and
 listing the cosets for all messages in counter order rebuilds a code
@@ -20,7 +24,6 @@ equivocation curves agree to 1e-12.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -72,14 +75,24 @@ def _parity_check_t(l, k):
     return ht
 
 
-def _row_words(mat):
-    return [int("".join(str(int(b)) for b in row), 2) for row in mat]
+def _words(mat):
+    """Each row of a 0/1 matrix (or the last axis of an array) as one int, MSB first."""
+    mat = np.asarray(mat, dtype=np.int64) % 2
+    return mat @ (1 << np.arange(mat.shape[-1] - 1, -1, -1, dtype=np.int64))
+
+
+def _times(u, mat):
+    """u . mat over GF(2) for an array of row-vector words u: one parity per column of mat."""
+    return _words(np.bitwise_count(np.asarray(u)[..., None] & _words(mat.T)))
 
 
 def gf2_rank(mat):
-    """Rank over GF(2) of a 0/1 matrix, by elimination on its row words."""
-    mat = np.asarray(mat) % 2
-    return word_rank(np.array(_row_words(mat), dtype=object), mat.shape[1])
+    """Rank over GF(2) of a 0/1 matrix, by elimination on its int64 row
+    words; a matrix wider than 63 columns raises ValueError."""
+    width = np.shape(mat)[1]
+    if width > 63:
+        raise ValueError("gf2_rank takes at most 63 columns, got %d" % width)
+    return word_rank(_words(mat), width)
 
 
 @dataclass(frozen=True)
@@ -92,11 +105,6 @@ class WiretapCodec:
     @property
     def n(self):
         return self.l + self.k
-
-    @cached_property
-    def row_words(self):
-        """The rows of G as n-bit ints, MSB first; built once per codec."""
-        return _row_words(self.G)
 
 
 def _identity_holds(codec):
@@ -128,33 +136,20 @@ def build_codec(l, k):
 def encode(codec, m, v):
     """Codeword for message m (k bits) and auxiliary v (l bits).
 
-    Both arguments are ints read MSB-first; x = [m || v] G is the XOR of
-    the generator rows selected by the set bits of the input.
+    Both arguments are ints read MSB-first; x = [m || v] G.
     """
     if not 0 <= m < (1 << codec.k):
         raise ValueError("message does not fit in %d bits" % codec.k)
     if not 0 <= v < (1 << codec.l):
         raise ValueError("auxiliary word does not fit in %d bits" % codec.l)
-    u = (m << codec.l) | v
-    rows = codec.row_words
-    x = 0
-    for i in range(codec.n):
-        if (u >> (codec.n - 1 - i)) & 1:
-            x ^= rows[i]
-    return x
+    return int(_times((m << codec.l) | v, codec.G))
 
 
 def decode(codec, x):
     """Recover the message: m = x H_T, one parity per column."""
     if not 0 <= x < (1 << codec.n):
         raise ValueError("codeword does not fit in %d bits" % codec.n)
-    m = 0
-    for j in range(codec.k):
-        col = 0
-        for i in range(codec.n):
-            col = (col << 1) | int(codec.H_T[i, j])
-        m = (m << 1) | ((x & col).bit_count() & 1)
-    return m
+    return int(_times(x, codec.H_T))
 
 
 def coset_table(codec):
@@ -166,7 +161,7 @@ def coset_table(codec):
     """
     words = np.zeros(1, dtype=np.uint32)
     # the lowest bit of u selects the last row: doubling from it keeps counter order
-    for row in reversed(codec.row_words):
+    for row in reversed(_words(codec.G)):
         words = np.concatenate([words, words ^ np.uint32(row)])
     return CodeTable(codec.l, codec.k, words.reshape(1 << codec.k, 1 << codec.l))
 
@@ -175,15 +170,13 @@ def syndrome_check(codec):
     """True iff the validity identity holds and syndromes separate bins.
 
     Every codeword of one bin must map to that bin's message and no
-    other; checked exhaustively over all 2**n codewords.
+    other; checked exhaustively over all 2**n codewords of coset_table
+    in one parity pass, whose temporaries peak near 17k bytes per codeword.
     """
     if not _identity_holds(codec):
         return False
-    for m in range(1 << codec.k):
-        for v in range(1 << codec.l):
-            if decode(codec, encode(codec, m, v)) != m:
-                return False
-    return True
+    syndromes = _times(coset_table(codec).array, codec.H_T)
+    return bool((syndromes == np.arange(1 << codec.k)[:, None]).all())
 
 
 def format_matrix(mat):

@@ -33,7 +33,8 @@ Every solution carries a dual certificate.  With y from the final basis
 and d = max(0, max(f - A^T y)), every feasible x has sum(x) = 2**n / e
 (each row sums to e), so f . x = y . A x + (f - A^T y) . x is at most
 upper = b . y + d * 2**n / e.  The gap upper - objective bounds how far
-the returned value can sit below the true optimum.
+the returned value can sit below the true optimum.  d comes from the
+pricing pass that ends the solve.
 """
 
 import math
@@ -220,9 +221,10 @@ def _pivot_loop(A, b, c, basis):
     """Maximize c.x from the feasible `basis`, which is updated in place.
 
     Dense iteration that refactors the basis every step.  Returns
-    (xb, y, pivots, fallbacks): the basic values, the duals, the pivot
-    count and the number of switches from Dantzig to Bland pricing.
-    Ties in the ratio test leave on the smallest basic column index.
+    (xb, y, slack, pivots, fallbacks): the basic values, the duals,
+    max(0, max(c - yA)) over all columns from the final pricing pass,
+    the pivot count and the number of switches from Dantzig to Bland
+    pricing.  Ties in the ratio test leave on the smallest basic column.
     """
     degenerate = fallbacks = 0
     for pivots in range(_MAX_PIVOTS):
@@ -233,10 +235,12 @@ def _pivot_loop(A, b, c, basis):
         except np.linalg.LinAlgError:
             raise SimplexError("singular working basis")
         rc = c - y @ A
+        basic = rc[basis]
         rc[basis] = 0.0
         enter = int(np.argmax(rc))
         if rc[enter] <= PRICE_TOL:
-            return xb, y, pivots, fallbacks
+            # the basic entries were zeroed, so rc[enter] >= 0
+            return xb, y, max(float(rc[enter]), float(basic.max())), pivots, fallbacks
         if degenerate >= _DEGENERATE_RUN:
             enter = int(np.flatnonzero(rc > PRICE_TOL)[0])
         d = np.linalg.solve(B, A[:, enter])
@@ -280,10 +284,9 @@ def solve_lp(inst, basis=None):
             raise SimplexError("instance lacks the pure-row columns e*u_d; no starting vertex")
     else:
         basis = list(basis)
-    xb, y, pivots, fallbacks = _pivot_loop(A, b, f, basis)
+    xb, y, slack, pivots, fallbacks = _pivot_loop(A, b, f, basis)
     x = np.zeros(A.shape[1])
     x[basis] = xb
-    slack = max(0.0, float(np.max(f - y @ A)))
     selected = [
         (tuple(int(v) for v in inst.rows[i]), float(x[i]))
         for i in np.nonzero(x > 1e-9)[0]

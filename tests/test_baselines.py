@@ -1,6 +1,8 @@
 import math
+import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 import scipy.stats
 
@@ -167,3 +169,18 @@ def test_compare_form_exhaustive():
 def test_compare_form_blocklength_guard():
     with pytest.raises(ValueError):
         compare_form(6, 7, [0.1])
+
+
+def test_compare_form_memory_does_not_grow_with_samples():
+    """Over 1,001 points the traced peak of 400 tables stays within 10% of 20 tables'."""
+    grid = [float(p) for p in np.linspace(0.0, 0.5, 1001)]
+    compare_form(1, 1, grid, samples=2, seed=0)  # first-call allocations are not the point
+    peaks = []
+    for samples in (20, 400):
+        tracemalloc.start()
+        try:
+            compare_form(1, 1, grid, samples=samples, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks

@@ -337,6 +337,10 @@ def test_certificate_equals_the_unit_vector_oracle():
         bins = t.bins
         bins[0][-1], bins[1][0] = bins[1][0], bins[0][-1]
         tables += [t, permuted, xor_translate(permuted, rng.randrange(1 << t.n)), CodeTable(t.l, t.k, bins)]
+    # random tables: almost none are coset tables, and most already differ
+    # in the difference sets of their first two bins
+    for form in ((3, 2), (2, 4)):
+        tables += sample_binning(*form, seed=31, count=200)
     verdicts = [is_coset_table(t) for t in tables]
     assert verdicts == [unit_vector_certificate(t) for t in tables]
     # both answers occur in number, so the agreement is not one-sided

@@ -2,8 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wiretap.bitcore import partition_of, tables_equal_partition, validate_table
+from wiretap import linear_matrices
+from wiretap.bitcore import CodeTable, partition_of, tables_equal_partition, validate_table
 from wiretap.equivocation import total_equivocation, total_equivocation_linear
 from wiretap.linear_matrices import (
     UnsupportedForm,
@@ -22,6 +25,10 @@ from wiretap.ni_code import standard_table
 from golden_tables import GOLDEN_G, GOLDEN_H_T, make
 
 SUPPORTED_SMALL = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (3, 1), (4, 1), (4, 2)]
+
+
+def linear_forms(max_n):
+    return [(l, n - l) for n in range(2, max_n + 1) for l in range(1, n) if is_linear_form(l, n - l)]
 
 
 def test_is_linear_form():
@@ -93,11 +100,29 @@ def test_decode_pinned():
 
 
 def test_syndrome_check_true_on_built_codecs():
-    for l, k in SUPPORTED_SMALL:
-        assert syndrome_check(build_codec(l, k))
+    for l, k in linear_forms(16):
+        assert syndrome_check(build_codec(l, k)), (l, k)
 
 
-def test_syndrome_check_detects_corruption():
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(linear_forms(12)), st.data())
+def test_encode_is_the_coset_table_entry_and_decode_inverts_it(form, data):
+    codec = build_codec(*form)
+    m = data.draw(st.integers(0, (1 << codec.k) - 1))
+    v = data.draw(st.integers(0, (1 << codec.l) - 1))
+    x = encode(codec, m, v)
+    assert x == coset_table(codec).array[m, v]
+    assert decode(codec, x) == m
+
+
+def test_gf2_rank_holds_63_columns_and_rejects_wider():
+    assert gf2_rank(np.eye(63)) == 63
+    assert gf2_rank(np.ones((5, 63), dtype=bool)) == 1
+    with pytest.raises(ValueError):
+        gf2_rank(np.eye(100))
+
+
+def test_syndrome_check_detects_corruption(monkeypatch):
     codec = build_codec(2, 3)
     bad_g = codec.G.copy()
     bad_g[0, 0] ^= 1
@@ -105,6 +130,10 @@ def test_syndrome_check_detects_corruption():
     bad_h = codec.H_T.copy()
     bad_h[4, 2] ^= 1
     assert not syndrome_check(dataclasses.replace(codec, H_T=bad_h))
+    # the identity still holds, but the first two bins hold each other's codewords
+    swapped = coset_table(codec).array[[1, 0, *range(2, 8)]]
+    monkeypatch.setattr(linear_matrices, "coset_table", lambda c: CodeTable(c.l, c.k, swapped))
+    assert not syndrome_check(codec)
 
 
 def test_coset_tables_are_valid_partitions():
@@ -128,7 +157,7 @@ def test_coset_table_bins_are_cosets():
 
 def test_coset_tables_equal_matrix_products():
     """Every linear form with n <= 12: bin m holds [m || v] G over GF(2)."""
-    forms = [(l, n - l) for n in range(2, 13) for l in range(1, n) if is_linear_form(l, n - l)]
+    forms = linear_forms(12)
     assert len(forms) == 42
     for l, k in forms:
         codec = build_codec(l, k)

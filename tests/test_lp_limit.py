@@ -249,6 +249,18 @@ def test_curve_certificate_gap():
         assert curve.stats()["max_dual_gap"] == float(gap.max())
 
 
+def test_upper_is_the_dual_certificate_of_the_returned_basis():
+    """upper = b.y + max(0, max(f - A^T y)) * 2**n / e, y recomputed from the basis."""
+    for l, k in FOUR_FORMS:
+        for p in (0.05, 0.2):
+            inst = build_lp(l + k, 1 << l, p)
+            sol = solve_lp(inst)
+            y = np.linalg.solve(inst.A[:, sol.basis].T, inst.f[sol.basis])
+            slack = max(0.0, float(np.max(inst.f - y @ inst.A)))
+            want = float(inst.b @ y) + slack * (1 << (l + k)) / (1 << l)
+            assert abs(sol.upper - want) <= 1e-12, (l, k, p)
+
+
 def test_curve_not_below_highs_where_loose_pricing_stops_short():
     """At p = 0.05 pricing at 1e-10 stops about 3e-11 bits short."""
     for l, k in ((4, 1), (3, 2)):
