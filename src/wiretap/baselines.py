@@ -12,14 +12,41 @@ import math
 
 import numpy as np
 
-from .bitcore import CodeTable
-from .equivocation import _curve, _weight_rows, is_coset_table
+from .bitcore import CodeTable, _covers_every_word
+from .equivocation import _CHUNK_CELLS, _coset_mask, _curve, _entropy_sums, _weight_rows, is_coset_table
 from .lp_limit import lp_limit_curve
 from .ni_code import standard_table
 
 RNG_ALGORITHM = "philox4x64"
 
 DEFAULT_SAMPLES = 10_000
+
+
+def _block_size(n):
+    # tables per block: one full-route kernel call of about _CHUNK_CELLS cells
+    return max(1, _CHUNK_CELLS >> 2 * n)
+
+
+def _sample_blocks(l, k, seed, count):
+    """Samples 0..count-1 of `seed` as (B, 2**k, 2**l) word blocks.
+
+    One philox4x64 generator is re-keyed to (seed, i) for sample i: the
+    state of Philox(key=[seed, i]), whose counter and buffer start empty,
+    so the streams are those of a fresh generator per sample.  The first
+    construction converts the seed exactly as every such key does.
+    """
+    n = l + k
+    size = _block_size(n)
+    bits = np.random.Philox(key=[seed, 0])
+    rng = np.random.Generator(bits)
+    state = bits.state
+    for start in range(0, count, size):
+        block = np.empty((min(count - start, size), 1 << n), dtype=np.uint32)
+        for i in range(len(block)):
+            state["state"]["key"][1] = start + i
+            bits.state = state
+            block[i] = rng.permutation(1 << n)
+        yield block.reshape(-1, 1 << k, 1 << l)
 
 
 def sample_binning(l, k, seed, count=1):
@@ -30,11 +57,9 @@ def sample_binning(l, k, seed, count=1):
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    n = l + k
-    e = 1 << l
-    for i in range(count):
-        rng = np.random.Generator(np.random.Philox(key=[seed, i]))
-        yield CodeTable(l, k, rng.permutation(1 << n).reshape(1 << k, e))
+    for block in _sample_blocks(l, k, seed, count):
+        for words in block:
+            yield CodeTable(l, k, words)
 
 
 def enumerate_binnings(l, k, limit=100_000):
@@ -92,6 +117,15 @@ def infinite_blocklength_limit(p, rate):
     return min(binary_entropy(p), rate)
 
 
+def _baseline_blocks(l, k, samples, seed, exhaustive):
+    if not exhaustive:
+        yield from _sample_blocks(l, k, seed, samples)
+        return
+    tables = enumerate_binnings(l, k)
+    while block := [t.array for t in itertools.islice(tables, _block_size(l + k))]:
+        yield np.stack(block)
+
+
 def compare_form(l, k, p_grid, samples=DEFAULT_SAMPLES, seed=0, exhaustive=False):
     """Comparison record for one form over a crossover grid.
 
@@ -99,32 +133,46 @@ def compare_form(l, k, p_grid, samples=DEFAULT_SAMPLES, seed=0, exhaustive=False
     the infinite-blocklength bound, and the max, mean and min rate over
     the baseline codes.  With exhaustive=True the baseline is every
     ordered table of the form instead of a random sample, which is only
-    feasible for very small shapes.
+    feasible for very small shapes.  The record also carries the LP's
+    solver counters (`lp`) and how many baseline tables took each
+    equivocation route (`routes`).
     """
     n = l + k
     if n > 12:
         raise ValueError("exhaustive equivocation past n = 12 is not supported here")
-    baseline = enumerate_binnings(l, k) if exhaustive else sample_binning(l, k, seed, samples)
+    if not exhaustive and samples < 1:
+        raise ValueError("samples must be >= 1")
     grid = [float(p) for p in p_grid]
-    # one weight matrix for the grid; one curve per table, streamed into
-    # running max, sum and min vectors (the sum in extended precision where
-    # the platform has it), so memory does not grow with samples
     gammas = _weight_rows(grid, n)
     family = standard_table(l, k)
     ni = _curve(family, gammas, is_coset_table(family)).bits / n
+    # the baseline streams through in blocks: validated, certified and
+    # priced per route, each block folded into running max, sum and min
+    # vectors (the sum in extended precision where the platform has it),
+    # so memory does not grow with samples or with the grid
     top, bottom = np.full(len(grid), -np.inf), np.full(len(grid), np.inf)
     total = np.zeros(len(grid), dtype=np.longdouble)
-    for count, t in enumerate(baseline, 1):
-        rates = _curve(t, gammas, is_coset_table(t)).bits / n
-        np.maximum(top, rates, out=top)
-        np.minimum(bottom, rates, out=bottom)
-        total += rates
-    limits = lp_limit_curve(l, k, grid).rates
+    routes = {"coset": 0, "full": 0}
+    for block in _baseline_blocks(l, k, samples, seed, exhaustive):
+        if not _covers_every_word(block, n).all():
+            raise ValueError("a baseline table is not a partition of the %d-bit words" % n)
+        coset = _coset_mask(block)
+        for route, members, observations in (("coset", coset, 1), ("full", ~coset, 1 << n)):
+            if not members.any():
+                continue
+            routes[route] += int(members.sum())
+            for j, sums in enumerate(_entropy_sums(block[members], observations, gammas)):
+                rates = sums / observations / n
+                top[j] = max(top[j], rates.max())
+                bottom[j] = min(bottom[j], rates.min())
+                total[j] += rates.sum(dtype=np.longdouble)
+    count = routes["coset"] + routes["full"]
+    limits = lp_limit_curve(l, k, grid)
     rows = [
         {"p": p, "ni_rate": float(ni_p), "lp_limit": float(limit),
          "inf_limit": infinite_blocklength_limit(p, k / n), "rand_max": float(hi),
          "rand_mean": float(sum_p / count), "rand_min": float(lo)}
-        for p, ni_p, limit, hi, sum_p, lo in zip(grid, ni, limits, top, total, bottom)
+        for p, ni_p, limit, hi, sum_p, lo in zip(grid, ni, limits.rates, top, total, bottom)
     ]
     return {
         "form": (l, k),
@@ -133,4 +181,6 @@ def compare_form(l, k, p_grid, samples=DEFAULT_SAMPLES, seed=0, exhaustive=False
         "algorithm": None if exhaustive else RNG_ALGORITHM,
         "exhaustive": bool(exhaustive),
         "rows": rows,
+        "lp": limits.stats(),
+        "routes": routes,
     }

@@ -99,11 +99,8 @@ class CodeTable:
             bins = [list(b) for b in bins]
         self.array = _word_array(l, k, bins)
         self._given = bins if self.array is None else None
-        if self.array is not None:
-            seen = np.zeros(1 << self.n, dtype=bool)
-            seen[self.array] = True
-        # 2**n words in range cover every word iff each appears once
-        self._report = ValidationReport([]) if self.array is not None and seen.all() else _describe(self)
+        valid = self.array is not None and _covers_every_word(self.array[None], self.n)[0]
+        self._report = ValidationReport([]) if valid else _describe(self)
 
     @property
     def n(self):
@@ -123,6 +120,19 @@ class CodeTable:
     def __repr__(self):
         count = len(self.array) if self.array is not None else len(self._given)
         return "CodeTable(l=%d, k=%d, %d bins)" % (self.l, self.k, count)
+
+
+def _covers_every_word(block, n):
+    """Per table of a (B, 2**k, 2**l) block of words below 2**n: True iff
+    its words are the 2**n words, each once.
+
+    A boolean scatter per table (cheaper than one 2-D scatter for a large
+    table): 2**n words in range cover every word iff each appears once.
+    """
+    seen = np.zeros((len(block), 1 << n), dtype=bool)
+    for words, row in zip(block, seen):
+        row[words] = True
+    return seen.all(axis=1)
 
 
 def _word_array(l, k, bins):

@@ -187,6 +187,8 @@ def cmd_compare(args):
         "algorithm": record["algorithm"],
         "exhaustive": record["exhaustive"],
         "grid_points": len(grid),
+        "lp": record["lp"],
+        "routes": record["routes"],
     }
     return _emit(args, header, rows, meta)
 

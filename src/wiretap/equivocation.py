@@ -8,9 +8,16 @@ of each bin gives the bin posterior (messages are uniform, so the
 normalizer cancels inside the entropy average), and the equivocation is
 the entropy of that posterior averaged over all 2**n observations.
 
-One kernel, _bin_masses, computes every posterior.  For a coset table
-(is_coset_table) every observation has the conditional entropy of z = 0,
-so z = 0 alone gives the exact average.  Nothing is sampled.
+The likelihood sum of a bin is its distance profile (how many of its
+words lie at each distance from z) times the vector of p**d * q**(n-d),
+so a bin's entropy term depends on its profile alone.  One kernel,
+_types, counts how often each distinct profile occurs in a block of
+tables over a set of observations; the equivocation at p prices the
+distinct profiles once, as the LP prices its candidate rows
+(objective_coefficients), and weights them by those counts (the method
+of types).  For a coset table (is_coset_table) every observation has the
+conditional entropy of z = 0, so z = 0 alone gives the exact average.
+Nothing is sampled.
 """
 
 from typing import NamedTuple
@@ -58,31 +65,127 @@ def channel_weights(p, n):
     return gamma
 
 
-# Chunk observations and weight rows so one gather stays around this
-# many cells regardless of n (it never drops below one of each).
-_CHUNK_CELLS = 1 << 22
-_TINY = np.finfo(float).tiny
+# Tables and observations per kernel call: about this many distance
+# cells, never fewer than one table at one observation.
+_CHUNK_CELLS = 1 << 16
 
 
-def _distances(words, zs):
-    """(Z, 2**k, 2**l) Hamming distances from each observation of zs to each word."""
-    return np.bitwise_count(np.bitwise_xor.outer(zs, words))
+def objective_coefficients(rows, gamma):
+    """f_i = -P_i log2 P_i with P_i = rows[i] . gamma, 0 log 0 = 0.
 
-
-def _bin_masses(dist, gammas):
-    """The kernel: (P, Z, 2**k) bin masses for P weight rows, in one gather.
-
-    `dist` is _distances of a valid table's words and `gammas` a
-    (P, n+1) matrix.  Entry [j, a, i] sums gammas[j, d] over the words
-    of bin i at distance d from observation a: the posterior of bin i
-    when the row is channel_weights.
+    A row counts the words of one bin at each distance from an
+    observation, so with gamma = channel_weights(p, n) P_i is that bin's
+    posterior mass and f_i its entropy term: the LP objective and the
+    equivocation kernel price rows alike.  Evaluated formally for every
+    row, including rows with P_i > 1 whose coefficient is negative; the
+    maximization simply never picks them.
     """
-    return np.take(gammas, dist, axis=1).sum(axis=-1)
+    return _entropy_terms(rows @ gamma)
 
 
-def _entropies(masses):
-    """Entropy in bits summed over observations, per weight row; a zero mass adds 0."""
-    return -(masses * np.log2(np.maximum(masses, _TINY))).sum(axis=(1, 2))
+def _entropy_terms(P):
+    # -P log2 P elementwise, 0 log 0 = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(P > 0.0, -P * np.log2(P), 0.0)
+
+
+def _distances(block, zs):
+    """(cells, 2**l) Hamming distances of a (B, 2**k, 2**l) block of tables:
+    cell (table, observation of zs, bin), in that order, holds the
+    distances of the bin's words to the observation."""
+    return np.bitwise_count(block[:, None] ^ zs[:, None, None]).reshape(-1, block.shape[2])
+
+
+def _profiles(block, zs):
+    """(cells, n+1) distance profiles of a block, in the cell order of
+    _distances: row c counts the words of cell c's bin at each distance
+    from its observation.  One bincount per _CHUNK_CELLS distances."""
+    n = (block.shape[1] * block.shape[2]).bit_length() - 1
+    dist = _distances(block, zs)
+    rows = np.empty((len(dist), n + 1), dtype=np.int64)
+    step = max(1, _CHUNK_CELLS // dist.shape[1])
+    for start in range(0, len(dist), step):
+        part = dist[start : start + step]
+        cells = part + np.arange(0, len(part) * (n + 1), n + 1)[:, None]
+        rows[start : start + step] = np.bincount(cells.ravel(), minlength=len(part) * (n + 1)).reshape(-1, n + 1)
+    return rows
+
+
+def _types(block, zs):
+    """The kernel: the distinct distance profiles of a block and their counts.
+
+    Every (table, observation, bin) cell of a (B, 2**k, 2**l) block of
+    valid tables at the observations zs has a profile (_profiles), an LP
+    candidate row.  Returns `rows`, (G, n+1) floats, the distinct
+    profiles, and `counts`, (B, G) integers, how many cells of each table
+    have each one.  A table's entropy at p, summed over zs, is then
+    counts . f with f = objective_coefficients(rows, channel_weights(p, n))
+    (the method of types).  A profile c is grouped by its exact key
+    sum_d c_d (2**l + 1)**d, the sum of (2**l + 1)**d over the cell's
+    words, so no profile is built; when a key can pass 2**63 every cell
+    is its own group.
+    """
+    n = (block.shape[1] * block.shape[2]).bit_length() - 1
+    base = block.shape[2] + 1
+    if base ** (n + 1) < 1 << 63:
+        powers = base ** np.arange(n + 1, dtype=np.int64)
+        keys, group = np.unique(powers[_distances(block, zs)].sum(axis=1), return_inverse=True)
+        rows = keys[:, None] // powers % base
+    else:
+        rows = _profiles(block, zs)
+        group = np.arange(len(rows))
+    table = np.arange(len(group)) // (len(group) // len(block))
+    counts = np.bincount(table * len(rows) + group, minlength=len(block) * len(rows))
+    return rows.astype(float), counts.reshape(len(block), len(rows))
+
+
+def _entropy_sums(block, count, gammas):
+    """Per weight row of gammas, the (B,) entropies of a block of valid
+    tables summed over the observations 0..count-1.
+
+    Observations go to _types in chunks of about _CHUNK_CELLS cells.  One
+    chunk is priced lazily, one weight row at a time, so a block of many
+    tables holds no value per table and grid point; with several chunks
+    (a lone table whose full route passes _CHUNK_CELLS) each chunk's rows
+    are priced at every grid point and the block's sums over the grid kept.
+    """
+    step = max(1, _CHUNK_CELLS // block.size)
+    if count <= step:
+        rows, counts = _types(block, np.arange(count, dtype=np.uint32))
+        return ((counts * objective_coefficients(rows, gamma)).sum(axis=1) for gamma in gammas)
+    sums = np.zeros((len(gammas), len(block)))
+    for start in range(0, count if len(gammas) else 0, step):
+        rows, counts = _types(block, np.arange(start, min(start + step, count), dtype=np.uint32))
+        for j, gamma in enumerate(gammas):
+            sums[j] += (counts * objective_coefficients(rows, gamma)).sum(axis=1)
+    return iter(sums)
+
+
+def _coset_mask(block):
+    """Per table of a (B, 2**k, 2**l) block of valid tables: is_coset_table.
+
+    One scatter maps each word to its bin and one gather shows whether
+    XOR by its first word maps every bin into the bin S that holds 0,
+    both chunked over bins.  The GF(2) rank of S runs only for the tables
+    that pass.
+    """
+    l = block.shape[2].bit_length() - 1
+    n = (block.shape[1] << l).bit_length() - 1
+    # word w of table b sits at b * 2**n + w of the flat word -> bin map
+    offsets = (np.arange(len(block), dtype=np.int64) << n)[:, None, None]
+    step = max(1, _CHUNK_CELLS // (len(block) << l))
+    chunks = [slice(start, start + step) for start in range(0, block.shape[1], step)]
+    bin_of = np.empty(len(block) << n, dtype=np.int32)
+    for c in chunks:
+        bin_of[block[:, c] + offsets] = np.arange(block.shape[1], dtype=np.int32)[c, None]
+    home = bin_of[offsets.ravel()]
+    ok = np.ones(len(block), dtype=bool)
+    for c in chunks:
+        bins = block[:, c]
+        ok &= (bin_of[(bins ^ bins[:, :, :1]) + offsets] == home[:, None, None]).all(axis=(1, 2))
+    for b in np.flatnonzero(ok):
+        ok[b] = word_rank(block[b, home[b]], n) == l
+    return ok
 
 
 def is_coset_table(t):
@@ -96,12 +199,7 @@ def is_coset_table(t):
     0 and 2**l words.  Raises ValueError for an invalid table.
     """
     require_valid(t)
-    words = t.array
-    bin_of = np.empty(1 << t.n, dtype=np.int32)
-    bin_of[words] = np.arange(len(words), dtype=np.int32)[:, None]
-    if not (bin_of[words ^ words[:, :1]] == bin_of[0]).all():
-        return False
-    return word_rank(words[bin_of[0]], t.n) == t.l
+    return bool(_coset_mask(t.array[None])[0])
 
 
 class EquivocationCurve(NamedTuple):
@@ -117,17 +215,9 @@ def _weight_rows(grid, n):
 
 
 def _curve(t, gammas, coset):
-    # the kernel over observation chunks, and within each over blocks of
-    # weight rows, so no gather holds much more than _CHUNK_CELLS cells;
-    # z = 0 alone for a coset table
+    # z = 0 alone for a coset table, else every observation
     count = 1 if coset else 1 << t.n
-    chunk = max(1, _CHUNK_CELLS // (1 << t.n))
-    sums = np.zeros(len(gammas))
-    for start in range(0, count if len(gammas) else 0, chunk):
-        dist = _distances(t.array, np.arange(start, min(start + chunk, count), dtype=np.uint32))
-        step = max(1, _CHUNK_CELLS // dist.size)
-        for j in range(0, len(gammas), step):
-            sums[j : j + step] += _entropies(_bin_masses(dist, gammas[j : j + step]))
+    sums = np.array([h[0] for h in _entropy_sums(t.array[None], count, gammas)])
     return EquivocationCurve(sums / count, "coset" if coset else "full")
 
 
@@ -157,14 +247,6 @@ def total_equivocation_linear(t, p):
     return float(_curve(t, _weight_rows([p], t.n), True).bits[0])
 
 
-def _one_observation(t, z):
-    # the distances of one valid observation z to every word, (2**k, 2**l)
-    require_valid(t)
-    if not 0 <= z < (1 << t.n):
-        raise ValueError("z does not fit in %d bits" % t.n)
-    return _distances(t.array, np.array([z], dtype=np.uint32))[0]
-
-
 def distance_profile(t, z):
     """Per-bin histogram of Hamming distances to observation z.
 
@@ -172,14 +254,16 @@ def distance_profile(t, z):
     bin i at each distance from z.  Rows sum to 2**l and column j sums
     to C(n, j) over all bins, since the bins partition the space.
     """
-    dist = _one_observation(t, z)
-    cells = np.arange(len(dist), dtype=np.int64)[:, None] * (t.n + 1) + dist
-    return np.bincount(cells.ravel(), minlength=len(dist) * (t.n + 1)).reshape(len(dist), t.n + 1)
+    require_valid(t)
+    if not 0 <= z < (1 << t.n):
+        raise ValueError("z does not fit in %d bits" % t.n)
+    return _profiles(t.array[None], np.array([z], dtype=np.uint32))
 
 
 def bin_posteriors(t, z, p):
-    """Bin probabilities given z: the kernel at one observation."""
-    return _bin_masses(_one_observation(t, z)[None], channel_weights(p, t.n)[None, :])[0, 0]
+    """Bin probabilities given z: the distance profile times channel_weights."""
+    # einsum casts the integer profile in buffers, not as a whole float copy
+    return np.einsum("id,d->i", distance_profile(t, z), channel_weights(p, t.n))
 
 
 def conditional_equivocation(t, z, p):
@@ -188,7 +272,7 @@ def conditional_equivocation(t, z, p):
     Uses the convention 0 * log 0 = 0.  For p = 0 or p = 1 the posterior
     is a point mass and the value is exactly 0.
     """
-    return float(_entropies(bin_posteriors(t, z, p)[None, None])[0])
+    return float(_entropy_terms(bin_posteriors(t, z, p)).sum())
 
 
 def equivocation_rate(t, p):

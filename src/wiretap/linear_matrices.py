@@ -170,13 +170,20 @@ def syndrome_check(codec):
     """True iff the validity identity holds and syndromes separate bins.
 
     Every codeword of one bin must map to that bin's message and no
-    other; checked exhaustively over all 2**n codewords of coset_table
-    in one parity pass, whose temporaries peak near 17k bytes per codeword.
+    other; checked exhaustively over all 2**n codewords of coset_table,
+    one parity pass per column of H_T, so the temporaries stay a few
+    bytes per codeword whatever k is.
     """
     if not _identity_holds(codec):
         return False
-    syndromes = _times(coset_table(codec).array, codec.H_T)
-    return bool((syndromes == np.arange(1 << codec.k)[:, None]).all())
+    words = coset_table(codec).array
+    messages = np.arange(1 << codec.k)[:, None]
+    for j, column in enumerate(_words(codec.H_T.T)):
+        # syndrome bit j (MSB first) of every codeword against that bit of its bin's message
+        parity = np.bitwise_count(words & np.uint32(column)) & 1
+        if not (parity == (messages >> (codec.k - 1 - j)) & 1).all():
+            return False
+    return True
 
 
 def format_matrix(mat):

@@ -44,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bitcore import CapExceeded
-from .equivocation import channel_weights
+from .equivocation import channel_weights, objective_coefficients
 
 ROW_CAP = 10_000_000
 
@@ -192,18 +192,6 @@ class LpCurve:
             "bland_fallbacks": self.bland_fallbacks,
             "max_dual_gap": float(np.max(self.upper - self.bits, initial=0.0)),
         }
-
-
-def objective_coefficients(rows, gamma):
-    """f_i = -P_i log2 P_i with P_i = rows[i] . gamma, 0 log 0 = 0.
-
-    Evaluated formally for every row, including rows with P_i > 1 whose
-    coefficient is negative; the maximization simply never picks them.
-    """
-    P = rows @ gamma
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = np.where(P > 0.0, -P * np.log2(P), 0.0)
-    return f
 
 
 def build_lp(n, e, p):

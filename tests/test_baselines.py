@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from wiretap import baselines
 from wiretap.baselines import (
     DEFAULT_SAMPLES,
     RNG_ALGORITHM,
@@ -17,7 +18,7 @@ from wiretap.baselines import (
     sample_binning,
 )
 from wiretap.bitcore import partition_of, tables_equal_ordered, validate_table
-from wiretap.equivocation import total_equivocation
+from wiretap.equivocation import equivocation_curve, total_equivocation
 
 
 def test_sampler_yields_valid_tables():
@@ -184,3 +185,41 @@ def test_compare_form_memory_does_not_grow_with_samples():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def test_sampler_streams_equal_a_fresh_philox_generator_per_sample(monkeypatch):
+    """Sample i of a seed is Generator(Philox(key=[seed, i])).permutation, across blocks."""
+    for l, k, size in ((3, 2, None), (1, 2, 5)):
+        if size:
+            monkeypatch.setattr(baselines, "_block_size", lambda n: size)
+        n = l + k
+        for seed in (0, 1, 7, 2**40, -3):
+            samples = list(sample_binning(l, k, seed, count=300))
+            for i in (0, 1, 2, 4, 5, 37, 255, 256, 299):
+                rng = np.random.Generator(np.random.Philox(key=[seed, i]))
+                assert samples[i].array.tolist() == rng.permutation(1 << n).reshape(1 << k, 1 << l).tolist()
+
+
+def test_compare_form_folds_blocks_like_per_table_curves(monkeypatch):
+    """max, mean and min equal those of per-table equivocation_curve when blocks split mid-stream."""
+    grid = [0.0, 0.07, 0.25, 0.41, 0.5]
+    cases = [(2, 1, dict(exhaustive=True), enumerate_binnings(2, 1)),
+             (3, 2, dict(samples=300, seed=11), sample_binning(3, 2, 11, count=300))]
+    default = baselines._block_size
+    for l, k, kwargs, tables in cases:
+        n = l + k
+        tables = list(tables)
+        rates = np.array([equivocation_curve(t, grid).bits / n for t in tables])
+        routes = [equivocation_curve(t, [0.1]).route for t in tables]
+        for size in (3, 7, None):
+            monkeypatch.setattr(baselines, "_block_size", lambda n: size or default(n))
+            record = compare_form(l, k, grid, **kwargs)
+            assert record["samples"] == len(tables)
+            assert record["routes"] == {"coset": routes.count("coset"), "full": routes.count("full")}
+            for row, hi, mean, lo in zip(record["rows"], rates.max(0), rates.mean(0), rates.min(0)):
+                assert abs(row["rand_max"] - hi) <= 1e-12
+                assert abs(row["rand_mean"] - mean) <= 1e-12
+                assert abs(row["rand_min"] - lo) <= 1e-12
+    # blocks of 3 of the 70 exhaustive (2,1) tables mix both routes
+    routes = [equivocation_curve(t, [0.1]).route for t in enumerate_binnings(2, 1)]
+    assert {"coset", "full"} in [set(routes[i : i + 3]) for i in range(0, len(routes), 3)]

@@ -6,6 +6,7 @@ from wiretap import baselines, cli, ni_code
 from wiretap.bitcore import TableParseError, format_table, parse_table, tables_equal_ordered
 from wiretap.equivocation import total_equivocation
 from wiretap.linear_matrices import build_codec, format_matrix
+from wiretap.lp_limit import lp_limit_curve
 
 from golden_tables import GOLDEN_G, GOLDEN_H_T, make
 
@@ -266,6 +267,22 @@ def test_compare_exhaustive_flag(capsys):
     assert payload["metadata"]["exhaustive"] is True
     assert payload["metadata"]["samples"] == 6
 
+
+
+def test_compare_json_carries_the_lp_record_and_route_counts(capsys):
+    grid = "0:0.5:3"
+    code, out, _ = run(capsys, ["compare", "--form", "2,1", "--p-grid", grid, "--exhaustive", "--format", "json"])
+    assert code == 0
+    meta = json.loads(out)["metadata"]
+    assert set(meta) == {"command", "form", "samples", "seed", "algorithm", "exhaustive", "grid_points",
+                         "lp", "routes", "timestamp"}
+    assert meta["lp"] == lp_limit_curve(2, 1, [0.0, 0.25, 0.5]).stats()
+    assert set(meta["lp"]) == {"candidate_rows", "pivots_phase2", "bland_fallbacks", "max_dual_gap"}
+    # 7 subgroups of order 4, each in 2 bin orders, are the coset tables among the 70
+    assert meta["routes"] == {"coset": 14, "full": 56}
+    code, out, _ = run(capsys, ["compare", "--form", "1,2", "--p-grid", grid, "--samples", "40", "--format", "json"])
+    routes = json.loads(out)["metadata"]["routes"]
+    assert code == 0 and routes["coset"] + routes["full"] == 40 and routes["full"] > 0
 
 def test_counts_text(capsys):
     code, out, _ = run(capsys, ["counts", "--form", "1,4"])

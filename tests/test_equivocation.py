@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wiretap import equivocation
 from wiretap.baselines import enumerate_binnings, sample_binning
@@ -20,6 +22,7 @@ from wiretap.equivocation import (
     total_equivocation_linear,
 )
 from wiretap.linear_matrices import build_codec, coset_table, is_linear_form
+from wiretap.lp_limit import lp_limit_curve
 from wiretap.ni_code import standard_table
 
 from golden_tables import make
@@ -273,26 +276,76 @@ def test_curve_chunks_agree_with_one_pass(monkeypatch):
 
 
 def test_every_gather_stays_within_the_chunk_budget(monkeypatch):
-    """Over a 1,001-point grid no single gather exceeds max(_CHUNK_CELLS, 2**n) cells."""
+    """Over a 1,001-point grid no kernel call exceeds max(_CHUNK_CELLS, 2**n) distance
+    cells, every observation is counted once, and every call's rows are priced at every
+    grid point, in grid order."""
     grid = [float(p) for p in np.linspace(0.0, 0.5, 1001)]
-    tables = [next(sample_binning(2, 5, seed=3)), standard_table(2, 12)]
+    tables = [next(sample_binning(2, 5, seed=3)), next(sample_binning(2, 8, seed=3)), standard_table(2, 12)]
     want = [equivocation_curve(t, grid).bits for t in tables]
-    gather = equivocation._bin_masses
-    calls = []
+    kernel, price = equivocation._types, equivocation.objective_coefficients
+    observations, priced = [], []
 
-    def spy(dist, gammas):
-        n = gammas.shape[1] - 1
-        assert len(gammas) * dist.size <= max(equivocation._CHUNK_CELLS, 1 << n)
-        calls.append(len(gammas))
-        return gather(dist, gammas)
+    def spy_kernel(block, zs):
+        n = block.shape[1].bit_length() + block.shape[2].bit_length() - 2
+        assert block.size * len(zs) <= max(equivocation._CHUNK_CELLS, 1 << n)
+        observations.append(zs.tolist())
+        return kernel(block, zs)
 
-    monkeypatch.setattr(equivocation, "_bin_masses", spy)
-    for t, bits, route in zip(tables, want, ("full", "coset")):
-        calls.clear()
+    def spy_price(rows, gamma):
+        priced.append(gamma)
+        return price(rows, gamma)
+
+    monkeypatch.setattr(equivocation, "_types", spy_kernel)
+    monkeypatch.setattr(equivocation, "objective_coefficients", spy_price)
+    for t, bits, route in zip(tables, want, ("full", "full", "coset")):
+        observations.clear()
+        priced.clear()
         curve = equivocation_curve(t, grid)
         assert curve.route == route
         assert curve.bits.tolist() == bits.tolist()
-        assert sum(calls) == len(grid) and len(calls) > 1
+        count = 1 << t.n if route == "full" else 1
+        calls = -(-count // max(1, equivocation._CHUNK_CELLS >> t.n))
+        assert len(observations) == calls and (calls > 1) == ((count << t.n) > equivocation._CHUNK_CELLS)
+        assert sum(observations, []) == list(range(count))
+        assert np.array_equal(np.array(priced), np.tile(equivocation._weight_rows(grid, t.n), (calls, 1)))
+
+
+
+def test_ungrouped_profiles_match_the_oracle_in_one_chunk_and_in_many(monkeypatch):
+    """Past the int64 key ((2**l + 1)**(n+1) >= 2**63) every cell is its own group:
+    a random (7,1) table on the full route and a (6,4) coset table still give the
+    per-word average, also when the observations are split into many chunks."""
+    grid = [0.0, 0.03, 0.2, 0.5]
+    tables = [next(sample_binning(7, 1, seed=2)), coset_table(build_codec(6, 4))]
+    for t in tables:
+        assert ((1 << t.l) + 1) ** (t.n + 1) >= 1 << 63
+    oracle = [[sum(entropy_bits(bin_posteriors_direct(t, z, p)) for z in range(1 << t.n)) / (1 << t.n)
+               for p in grid] for t in tables]
+    for cells in (equivocation._CHUNK_CELLS, 300):
+        monkeypatch.setattr(equivocation, "_CHUNK_CELLS", cells)
+        for t, want, route in zip(tables, oracle, ("full", "coset")):
+            curve = equivocation_curve(t, grid)
+            assert curve.route == route
+            assert np.allclose(curve.bits, want, rtol=0, atol=1e-12)
+    # at (4,12) the key of a bin holding the all-ones word would pass 2**63
+    wide = standard_table(4, 12)
+    want = [conditional_equivocation(wide, 0, p) for p in grid]
+    assert np.allclose(equivocation_curve(wide, grid).bits, want, rtol=0, atol=1e-12)
+
+
+def test_certificate_gathers_in_chunks_of_bins(monkeypatch):
+    """Chunking the certificate's gather over bins changes no verdict."""
+    tables = [t for t in _family_and_coset_tables(8)] + list(sample_binning(2, 4, seed=3, count=50))
+    tables.append(CodeTable(2, 1, [[0, 1, 2, 7], [4, 5, 6, 3]]))
+    want = [is_coset_table(t) for t in tables]
+    same = [i for i, t in enumerate(tables) if (t.l, t.k) == (2, 4)]
+    block = np.stack([tables[i].array for i in same])
+    monkeypatch.setattr(equivocation, "_CHUNK_CELLS", 5)
+    assert [is_coset_table(t) for t in tables] == want
+    # one block of every (2,4) table: coset and non-coset tables side by side
+    assert equivocation._coset_mask(block).tolist() == [want[i] for i in same]
+    assert 0 < sum(want[i] for i in same) < len(same)
+    assert 10 < sum(want) < len(want) - 10
 
 
 def test_curve_rejects_invalid_tables_and_crossovers():
@@ -355,3 +408,31 @@ def test_channel_weights_do_not_underflow_near_either_endpoint():
         assert abs(sum(math.comb(n, d) * gamma[d] for d in range(n + 1)) - 1.0) < 1e-12
         for z in (0, 0xABCDE):
             assert abs(bin_posteriors(t, z, p).sum() - 1.0) < 1e-12
+
+
+# every form with n <= 7 whose LP has at most 25,000 candidate rows: l <= 3, and (4,1)
+TYPE_FORMS = [(l, n - l) for n in range(1, 8) for l in range(n) if math.comb((1 << l) + n, n) <= 25_000]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(TYPE_FORMS), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_type_counts_give_the_per_word_equivocation(form, seed, p, shuffle):
+    """The method of types on random tables: A x = b holds for every observation's rows,
+    the curve is the per-word average, stays under the LP ceiling, and is symmetric in p
+    and invariant under bin permutation and XOR translation."""
+    l, k = form
+    n = l + k
+    t = CodeTable(l, k, np.random.default_rng(seed).permutation(1 << n).reshape(1 << k, 1 << l))
+    profiles = equivocation._profiles(t.array[None], np.arange(1 << n, dtype=np.uint32)).reshape(1 << n, 1 << k, n + 1)
+    assert (profiles.sum(axis=2) == 1 << l).all()
+    assert (profiles.sum(axis=1) == [math.comb(n, d) for d in range(n + 1)]).all()
+    grid = [p, 1.0 - p]
+    bits = equivocation_curve(t, grid).bits
+    for q, h in zip(grid, bits):
+        oracle = sum(entropy_bits(bin_posteriors_direct(t, z, q)) for z in range(1 << n)) / (1 << n)
+        assert abs(h - oracle) <= 1e-12
+    assert abs(bits[0] - bits[1]) <= 1e-12
+    assert bits[0] <= lp_limit_curve(l, k, [p]).upper[0] + 1e-9
+    rng = np.random.default_rng(shuffle)
+    moved = xor_translate(CodeTable(l, k, rng.permutation(t.array)), int(rng.integers(1 << n)))
+    assert np.allclose(equivocation_curve(moved, grid).bits, bits, rtol=0, atol=1e-12)

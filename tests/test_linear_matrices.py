@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,20 @@ def test_syndrome_check_detects_corruption(monkeypatch):
     monkeypatch.setattr(linear_matrices, "coset_table", lambda c: CodeTable(c.l, c.k, swapped))
     assert not syndrome_check(codec)
 
+
+
+def test_syndrome_check_memory_is_a_few_passes_over_the_codewords():
+    """At (2,16) the traced peak stays within four uint32 passes over the 2**18 codewords."""
+    codec = build_codec(2, 16)
+    syndrome_check(codec)  # first-call allocations are not the point
+    tracemalloc.start()
+    try:
+        assert syndrome_check(codec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the parent's broadcast against all 16 column words peaked at 69 MB
+    assert peak <= 4 * 4 << codec.n, peak
 
 def test_coset_tables_are_valid_partitions():
     for l, k in SUPPORTED_SMALL:
