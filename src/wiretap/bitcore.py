@@ -16,8 +16,11 @@ two equality notions exist: :func:`tables_equal_ordered` and
 import numpy as np
 
 N_CAP = 24
-# rows of text that format_table assembles at once: about this many bytes
+# bins of text that format_table writes, and _parse_canonical reads, at
+# once: about this many bytes
 _FORMAT_BYTES = 1 << 22
+# the 8 ASCII bits of every byte value, most significant first, as one uint64
+_BYTE_BITS = ((np.arange(256)[:, None] >> np.arange(7, -1, -1) & 1) + ord("0")).astype(np.uint8).view(np.uint64)[:, 0]
 
 
 class CapExceeded(Exception):
@@ -93,13 +96,28 @@ class CodeTable:
             raise ValueError("need l >= 0 and k >= 1, got (%d, %d)" % (l, k))
         if l + k > N_CAP:
             raise CapExceeded("blocklength %d exceeds cap %d" % (l + k, N_CAP))
-        self.l = l
-        self.k = k
         if not isinstance(bins, np.ndarray):
             bins = [list(b) for b in bins]
-        self.array = _word_array(l, k, bins)
-        self._given = bins if self.array is None else None
-        valid = self.array is not None and _covers_every_word(self.array[None], self.n)[0]
+        array = _word_array(l, k, bins)
+        self._settle(l, k, bins, None if array is None else array.astype(np.uint32))
+
+    @classmethod
+    def _adopt(cls, l, k, words):
+        # a table that keeps `words` without a copy: a (2**k, 2**l) uint32
+        # array of n-bit words that its builder has just made and holds
+        # no other reference to
+        t = cls.__new__(cls)
+        t._settle(l, k, words, words)
+        return t
+
+    def _settle(self, l, k, bins, array):
+        self.l = l
+        self.k = k
+        self.array = array
+        self._given = bins if array is None else None
+        if array is not None:
+            array.flags.writeable = False
+        valid = array is not None and _covers_every_word(array[None], self.n)[0]
         self._report = ValidationReport([]) if valid else _describe(self)
 
     @property
@@ -136,8 +154,9 @@ def _covers_every_word(block, n):
 
 
 def _word_array(l, k, bins):
-    # bins as a (2**k, 2**l) uint32 array, or None when they have another
-    # shape or hold anything but integers that fit in n = l + k bits
+    # bins as a (2**k, 2**l) integer array (bins itself when it is one), or
+    # None when they have another shape or hold anything but integers that
+    # fit in n = l + k bits
     try:
         arr = np.asarray(bins)
     except (ValueError, OverflowError):
@@ -146,9 +165,7 @@ def _word_array(l, k, bins):
         return None
     if arr.min() < 0 or arr.max() >= 1 << (l + k):
         return None
-    words = arr.astype(np.uint32)
-    words.flags.writeable = False
-    return words
+    return arr
 
 
 class ValidationReport:
@@ -221,7 +238,7 @@ def xor_translate(t, z):
         raise ValueError("z does not fit in %d bits" % t.n)
     if t.array is None:
         return CodeTable(t.l, t.k, [[w ^ z for w in b] for b in t.bins])
-    return CodeTable(t.l, t.k, t.array ^ np.uint32(z))
+    return CodeTable._adopt(t.l, t.k, t.array ^ np.uint32(z))
 
 
 def tables_equal_ordered(a, b):
@@ -243,24 +260,28 @@ def format_table(t):
     """Serialize to the text format: header 'l k', then one bin per line.
 
     Words are written as n bits separated by single spaces, each bin
-    line ending in a newline.  The text is assembled from the table's
-    bit array, a bounded block of bins at a time.
+    line ending in a newline.  Each word's bytes are spelled through a
+    256-entry table of 8 ASCII bits, a bounded block of bins at a time,
+    straight into one byte buffer that is decoded once.
     """
     if t.array is None:
         raise ValueError("only a (2**k, 2**l) table of %d-bit words can be written" % t.n)
     n = t.n
-    shifts = np.arange(n - 1, -1, -1, dtype=np.uint32)
+    width = (n + 7) // 8
+    head = b"%d %d\n" % (t.l, t.k)
+    buf = np.empty(len(head) + t.array.size * (n + 1), dtype=np.uint8)
+    buf[: len(head)] = np.frombuffer(head, dtype=np.uint8)
+    cells = buf[len(head) :].reshape(t.array.shape + (n + 1,))
+    cells[..., n] = ord(" ")
+    cells[:, -1, n] = ord("\n")
     step = max(1, _FORMAT_BYTES // (t.array.shape[1] * (n + 1)))
-    parts = ["%d %d\n" % (t.l, t.k)]
     for start in range(0, len(t.array), step):
         block = t.array[start : start + step]
-        cells = np.empty(block.shape + (n + 1,), dtype=np.uint8)
-        cells[..., :n] = (block[..., None] >> shifts) & 1
-        cells[..., :n] += ord("0")
-        cells[..., n] = ord(" ")
-        cells[:, -1, n] = ord("\n")
-        parts.append(cells.tobytes().decode("ascii"))
-    return "".join(parts)
+        # each word's low `width` bytes, most significant first
+        octets = block.astype(">u4").view(np.uint8).reshape(block.shape + (4,))[..., 4 - width :]
+        chars = _BYTE_BITS[octets].view(np.uint8).reshape(block.shape + (8 * width,))
+        cells[start : start + step, :, :n] = chars[..., 8 * width - n :]
+    return str(memoryview(buf), "ascii")
 
 
 def parse_table(text):
@@ -268,8 +289,9 @@ def parse_table(text):
 
     Raises TableParseError with the offending 1-based line number.
     The parsed table must pass validate_table.  Text laid out exactly as
-    format_table writes it is decoded in one array operation; any other
-    spelling goes through the line scanner.
+    format_table writes it is decoded by array operations, a bounded
+    block of bins at a time; any other spelling goes through the line
+    scanner.
     """
     t = _parse_canonical(text)
     if t is None:
@@ -281,34 +303,45 @@ def parse_table(text):
 
 
 def _parse_canonical(text):
-    # the table if text is byte for byte in format_table's layout, else None
+    # the table if text is byte for byte in format_table's layout, else
+    # None; decoded a block of bins at a time into one word array
     if not text.isascii():
         return None
-    raw = text.encode("ascii")
-    end = raw.find(b"\n")
-    head = raw[:end]
+    end = text.find("\n", 0, 16)
+    head = text[:end] if end >= 0 else ""
     try:
-        l, k = (int(x) for x in head.split(b" "))
+        l, k = (int(x) for x in head.split(" "))
     except ValueError:
         return None
-    if end < 0 or head != b"%d %d" % (l, k) or l < 0 or k < 1 or l + k > N_CAP:
+    if head != "%d %d" % (l, k) or l < 0 or k < 1 or l + k > N_CAP:
         return None
     n = l + k
-    if len(raw) - len(head) - 1 != (1 << n) * (n + 1):
+    row = (1 << l) * (n + 1)
+    if len(text) != end + 1 + (1 << k) * row:
         return None
-    cells = np.frombuffer(raw, dtype=np.uint8, offset=len(head) + 1).reshape(1 << k, 1 << l, n + 1)
-    gaps = cells[..., n]
-    if (gaps[:, :-1] != ord(" ")).any() or (gaps[:, -1] != ord("\n")).any():
-        return None
-    bits = cells[..., :n] - np.uint8(ord("0"))
-    if bits.max() > 1:
-        return None
-    # packbits left-aligns each word in whole bytes, zero padded on the right
-    packed = np.packbits(bits, axis=-1)
-    words = np.zeros(packed.shape[:-1], dtype=np.uint32)
-    for j in range(packed.shape[-1]):
-        words = (words << 8) | packed[..., j]
-    return CodeTable(l, k, words >> (8 * packed.shape[-1] - n))
+    words = np.empty((1 << k, 1 << l), dtype=np.uint32)
+    flat = words.reshape(-1)
+    step = max(1, _FORMAT_BYTES // row)
+    for start in range(0, 1 << k, step):
+        at = end + 1 + start * row
+        cells = np.frombuffer(text[at : at + step * row].encode("ascii"), dtype=np.uint8)
+        cells = cells.reshape(-1, 1 << l, n + 1)
+        gaps = cells[..., n]
+        if (gaps[:, :-1] != ord(" ")).any() or (gaps[:, -1] != ord("\n")).any():
+            return None
+        # one bit per character with the gaps read as 0: a stream of (n + 1)-bit cells
+        bits = cells - np.uint8(ord("0"))
+        bits[..., n] = 0
+        if bits.max() > 1:
+            return None
+        stream = np.concatenate((np.packbits(bits), np.zeros(3, dtype=np.uint8)))
+        # each cell's n bits lead the big-endian 32 bits read from its first byte on
+        first = np.arange(0, bits.size, n + 1, dtype=np.uint32)
+        quads = np.ndarray(len(stream) - 3, dtype=">u4", buffer=stream, strides=(1,))
+        out = flat[start << l : (start << l) + len(first)]
+        np.left_shift(quads[first >> 3], first & 7, out=out)
+        out >>= 32 - n
+    return CodeTable._adopt(l, k, words)
 
 
 def _scan_table(text):

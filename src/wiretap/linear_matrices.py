@@ -163,7 +163,7 @@ def coset_table(codec):
     # the lowest bit of u selects the last row: doubling from it keeps counter order
     for row in reversed(_words(codec.G)):
         words = np.concatenate([words, words ^ np.uint32(row)])
-    return CodeTable(codec.l, codec.k, words.reshape(1 << codec.k, 1 << codec.l))
+    return CodeTable._adopt(codec.l, codec.k, words.reshape(1 << codec.k, 1 << codec.l))
 
 
 def syndrome_check(codec):

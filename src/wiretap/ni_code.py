@@ -28,11 +28,13 @@ def _check_growth(t):
 
 
 def _rasba_bins(words):
-    # (B, e) word array -> (2B, e): bin i's children are rows 2i and 2i + 1
-    first = words << 1 | (np.arange(words.shape[1], dtype=np.uint32) & 1)
+    # (B, e) word array -> (2B, e): bin i's children are rows 2i and 2i + 1,
+    # each written straight into the output
     out = np.empty((2 * len(words), words.shape[1]), dtype=np.uint32)
-    out[0::2] = first
-    out[1::2] = first ^ 1
+    even, odd = out[0::2], out[1::2]
+    np.left_shift(words, 1, out=even)
+    even |= np.arange(words.shape[1], dtype=np.uint32) & 1
+    np.bitwise_xor(even, 1, out=odd)
     return out
 
 
@@ -45,16 +47,19 @@ def rasba(t):
     are on the right end.
     """
     _check_growth(t)
-    return CodeTable(t.l, t.k + 1, _rasba_bins(t.array))
+    return CodeTable._adopt(t.l, t.k + 1, _rasba_bins(t.array))
 
 
 def _rahba_bins(words):
-    # (B, e) word array -> (B, 2e): the pair (B, C) of rows 2i, 2i + 1 becomes [V; Z], [W; U]
-    b, c = words[0::2] << 1, words[1::2] << 1
+    # (B, e) word array -> (B, 2e): the pair (B, C) of rows 2i, 2i + 1 becomes
+    # [V; Z], [W; U], each quarter written straight into the output
     e = words.shape[1]
     out = np.empty((len(words), 2 * e), dtype=np.uint32)
-    out[0::2, :e], out[0::2, e:] = b, c | 1
-    out[1::2, :e], out[1::2, e:] = b | 1, c
+    v, z, w, u = out[0::2, :e], out[0::2, e:], out[1::2, :e], out[1::2, e:]
+    np.left_shift(words[0::2], 1, out=v)
+    np.left_shift(words[1::2], 1, out=u)
+    np.bitwise_or(v, 1, out=w)
+    np.bitwise_or(u, 1, out=z)
     return out
 
 
@@ -66,7 +71,7 @@ def rahba(t):
     the table's two bins form the single pair.
     """
     _check_growth(t)
-    return CodeTable(t.l + 1, t.k, _rahba_bins(t.array))
+    return CodeTable._adopt(t.l + 1, t.k, _rahba_bins(t.array))
 
 
 def base_table():
@@ -89,7 +94,7 @@ def standard_table(l, k):
         words = _rahba_bins(words)
     for _ in range(k - 1):
         words = _rasba_bins(words)
-    return CodeTable(l, k, words)
+    return CodeTable._adopt(l, k, words)
 
 
 def path_count(from_form, to_form):
@@ -159,7 +164,7 @@ def closed_form_table(l, k):
     states = np.arange(1 << (k - 1), dtype=np.uint32)
     flips = (np.arange(1 << l, dtype=np.uint32) & 1) * np.uint32((1 << (k - 1)) - 1)
     words = (ff[:, None, :] << (k - 1)) | (states[None, :, None] ^ flips)
-    return CodeTable(l, k, words.reshape(1 << k, 1 << l))
+    return CodeTable._adopt(l, k, words.reshape(1 << k, 1 << l))
 
 
 def opposite_pairing_check(t):

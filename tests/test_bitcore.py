@@ -1,7 +1,11 @@
 import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wiretap import bitcore
 from wiretap.baselines import sample_binning
@@ -23,7 +27,7 @@ from wiretap.bitcore import (
     xor_translate,
 )
 
-from wiretap.ni_code import standard_table
+from wiretap.ni_code import closed_form_table, rasba, standard_table
 
 from golden_tables import GOLDEN, make
 
@@ -317,3 +321,123 @@ def test_table_array_is_read_only_and_bins_are_fresh():
     assert "integers" in "; ".join(validate_table(CodeTable(1, 1, [[0.0, 3.0], [1.0, 2.0]])).problems)
     wide = CodeTable(1, 1, [[0, 1 << 40], [1, 2]])
     assert wide.array is None and wide.bins == [[0, 1 << 40], [1, 2]] and not validate_table(wide).ok
+
+
+def test_code_table_never_aliases_or_freezes_a_callers_array():
+    source = np.array([[0, 3], [1, 2]], dtype=np.uint32)
+    t = CodeTable(1, 1, source)
+    assert not np.shares_memory(t.array, source) and source.flags.writeable
+    source[0, 0] = 1
+    assert t.bins == [[0, 3], [1, 2]]
+    # sampled tables are rows of one block, so each keeps its own copy
+    a, b = sample_binning(2, 3, seed=5, count=2)
+    assert not np.shares_memory(a.array, b.array)
+    # builders hand their fresh arrays over: nothing else holds them, and they are read-only
+    for t in (standard_table(2, 3), closed_form_table(2, 3), rasba(make((1, 1))), xor_translate(make((2, 1)), 5)):
+        assert not t.array.flags.writeable and validate_table(t).ok
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_memory_is_its_output_plus_the_last_input():
+    """standard_table(4,16) writes each growth step into its output and keeps it uncopied."""
+    standard_table(4, 16)  # first-call allocations are not the point
+    words = 4 << 20
+    # the last RASBA step holds its 2 MB input and 4 MB output; steps through two 2 MB
+    # temporaries and a constructor copying the output peak at 10 MB
+    assert _peak_bytes(lambda: standard_table(4, 16)) <= 1.75 * words
+
+
+def test_canonical_reader_holds_one_block_of_text_at_a_time(monkeypatch):
+    t = standard_table(2, 14)
+    text = format_table(t)
+    monkeypatch.setattr(bitcore, "_FORMAT_BYTES", 1 << 14)
+    bitcore._parse_canonical(text)
+    peak = _peak_bytes(lambda: bitcore._parse_canonical(text))
+    # the words, the scatter that validates them, and a few block-sized buffers;
+    # the 1.1 MB text is never copied whole
+    assert peak <= t.array.nbytes + (1 << t.n) + 16 * bitcore._FORMAT_BYTES < len(text), peak
+
+
+def _scanner_outcome(text):
+    with mock.patch.object(bitcore, "_parse_canonical", lambda text: None):
+        return _outcome(text)
+
+
+def _block_tables():
+    # bins of 1, 2 and 8 words; 8, 16 and 32 bins
+    return [standard_table(0, 3), next(sample_binning(1, 4, seed=2)), standard_table(3, 5)]
+
+
+def test_reader_blocks_fail_at_their_edges_as_the_scanner_does(monkeypatch):
+    """Every character of the first and last bin of each block, corrupted, gives the scanner's outcome."""
+    tables = _block_tables()
+    wholes = [bitcore._parse_canonical(format_table(t)) for t in tables]
+    for t, whole in zip(tables, wholes):
+        text = format_table(t)
+        head = len("%d %d\n" % (t.l, t.k))
+        row = (1 << t.l) * (t.n + 1)
+        # blocks of three bins, the last one short
+        monkeypatch.setattr(bitcore, "_FORMAT_BYTES", 3 * row + 2)
+        bins = 1 << t.k
+        assert bins % 3 != 0
+        assert tables_equal_ordered(bitcore._parse_canonical(text), whole)
+        assert tables_equal_ordered(whole, t)
+        edges = {b for start in range(0, bins, 3) for b in (start, min(start + 2, bins - 1))}
+        for b in sorted(edges):
+            for i in range(head + b * row, head + (b + 1) * row):
+                for c in "01 \nx\t":
+                    if c != text[i]:
+                        edited = text[:i] + c + text[i + 1 :]
+                        assert _outcome(edited) == _scanner_outcome(edited), (t, i, c)
+                edited = text[:i] + text[i + 1 :]
+                assert _outcome(edited) == _scanner_outcome(edited), (t, i)
+
+
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["replace", "insert", "delete"]),
+        st.integers(0, 1 << 16),
+        st.sampled_from(list("01 \n\r\tx2-\xe9")),
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2), st.integers(1, 96), _EDITS, st.one_of(st.none(), st.integers(0, 1 << 16)))
+def test_parse_table_fuzz_fails_only_as_the_scanner_does(which, block_bytes, edits, cut):
+    """Byte-level edits and truncations of canonical multi-block texts: parse_table raises only
+    TableParseError and gives the scanner's outcome, line number included."""
+    text = format_table(_block_tables()[which])
+    for op, at, c in edits:
+        at %= len(text) + 1
+        if op == "replace":
+            text = text[:at] + c + text[at + 1 :]
+        elif op == "insert":
+            text = text[:at] + c + text[at:]
+        else:
+            text = text[:at] + text[at + 1 :]
+    if cut is not None:
+        text = text[: cut % (len(text) + 1)]
+    with mock.patch.object(bitcore, "_FORMAT_BYTES", block_bytes):
+        assert _outcome(text) == _scanner_outcome(text)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17])
+def test_writer_at_the_widths_where_a_words_byte_count_changes(n):
+    tables = [standard_table(0, n), standard_table(n - 1, 1), next(sample_binning(n // 2, n - n // 2, seed=n))]
+    if n > 1:
+        tables.append(next(sample_binning(0, n, seed=n)))
+    for t in tables:
+        text = format_table(t)
+        assert len(text) < 3 << 20
+        assert text == format_per_word(t)
+        assert tables_equal_ordered(bitcore._parse_canonical(text), t)

@@ -436,3 +436,26 @@ def test_type_counts_give_the_per_word_equivocation(form, seed, p, shuffle):
     rng = np.random.default_rng(shuffle)
     moved = xor_translate(CodeTable(l, k, rng.permutation(t.array)), int(rng.integers(1 << n)))
     assert np.allclose(equivocation_curve(moved, grid).bits, bits, rtol=0, atol=1e-12)
+
+
+MONOTONE_FORMS = [(l, n - l) for n in range(1, 8) for l in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(MONOTONE_FORMS),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.floats(0.0, 0.5), min_size=1, max_size=12),
+    st.randoms(use_true_random=False),
+)
+def test_equivocation_is_nondecreasing_up_to_one_half(form, seed, points, shuffle):
+    """BSC(p2) is a degraded BSC(p1) when p1 < p2 <= 1/2, so H(M|Z) cannot fall on [0, 1/2];
+    the grid is evaluated in shuffled order and read back sorted."""
+    l, k = form
+    t = CodeTable(l, k, np.random.default_rng(seed).permutation(1 << (l + k)).reshape(1 << k, 1 << l))
+    grid = points + [0.0, 0.5]
+    shuffle.shuffle(grid)
+    bits = equivocation_curve(t, grid).bits
+    ordered = bits[np.argsort(grid, kind="stable")]
+    assert (np.diff(ordered) >= -1e-12).all()
+    assert 0.0 <= ordered[0] and ordered[-1] <= k + 1e-12
