@@ -10,7 +10,6 @@ from .bitcore import (
     partition_of,
     tables_equal_ordered,
     tables_equal_partition,
-    validate_table,
     xor_translate,
 )
 from .equivocation import (

@@ -7,7 +7,8 @@ is the leftmost (most significant) bit when a word is printed, and
 
 A code table of form (l, k) partitions all 2**n words (n = l + k) into
 2**k ordered bins of 2**l words each.  It holds them as one read-only
-(2**k, 2**l) uint32 array, validated once when the table is built.  Bin
+(2**k, 2**l) uint32 array, checked once when the table is built: input
+that is no such partition builds no table.  Bin
 order and intra-bin order are both meaningful to the constructions, so
 two equality notions exist: :func:`tables_equal_ordered` and
 :func:`tables_equal_partition`.
@@ -82,14 +83,12 @@ class CodeTable:
     """Form (l, k) binning table: 2**k ordered bins of 2**l words.
 
     `bins` may be any (2**k, 2**l) nesting of integers, an array among
-    them.  When it has that shape and every word fits in n bits, the
-    table holds a read-only uint32 copy in `array`.  Any other input
-    still builds a table, which keeps its bins as given (`array` is None)
-    and is never valid.  Either way the validation report is made here,
-    once.
+    them, that partitions the n-bit words; the table holds a read-only
+    uint32 copy in `array`.  Any other input raises ValueError listing
+    its problems.  Every table is checked here, once.
     """
 
-    __slots__ = ("l", "k", "array", "_given", "_report")
+    __slots__ = ("l", "k", "array")
 
     def __init__(self, l, k, bins):
         if l < 0 or k < 1:
@@ -99,7 +98,9 @@ class CodeTable:
         if not isinstance(bins, np.ndarray):
             bins = [list(b) for b in bins]
         array = _word_array(l, k, bins)
-        self._settle(l, k, bins, None if array is None else array.astype(np.uint32))
+        if array is None:
+            raise _invalid(l, k, bins)
+        self._settle(l, k, array.astype(np.uint32))
 
     @classmethod
     def _adopt(cls, l, k, words):
@@ -107,18 +108,16 @@ class CodeTable:
         # array of n-bit words that its builder has just made and holds
         # no other reference to
         t = cls.__new__(cls)
-        t._settle(l, k, words, words)
+        t._settle(l, k, words)
         return t
 
-    def _settle(self, l, k, bins, array):
+    def _settle(self, l, k, array):
+        if not _covers_every_word(array[None], l + k)[0]:
+            raise _invalid(l, k, array)
         self.l = l
         self.k = k
         self.array = array
-        self._given = bins if array is None else None
-        if array is not None:
-            array.flags.writeable = False
-        valid = array is not None and _covers_every_word(array[None], self.n)[0]
-        self._report = ValidationReport([]) if valid else _describe(self)
+        array.flags.writeable = False
 
     @property
     def n(self):
@@ -127,17 +126,14 @@ class CodeTable:
     @property
     def bins(self):
         """The bins as fresh lists of ints, built on each access."""
-        if self.array is not None:
-            return self.array.tolist()
-        return [list(b) for b in self._given]
+        return self.array.tolist()
 
     def words(self):
         """All words of the table in bin order."""
         return [w for b in self.bins for w in b]
 
     def __repr__(self):
-        count = len(self.array) if self.array is not None else len(self._given)
-        return "CodeTable(l=%d, k=%d, %d bins)" % (self.l, self.k, count)
+        return "CodeTable(l=%d, k=%d, %d bins)" % (self.l, self.k, len(self.array))
 
 
 def _covers_every_word(block, n):
@@ -168,76 +164,44 @@ def _word_array(l, k, bins):
     return arr
 
 
-class ValidationReport:
-    """Outcome of validate_table: ok flag plus human-readable problems."""
-
-    def __init__(self, problems):
-        self.problems = list(problems)
-
-    @property
-    def ok(self):
-        return not self.problems
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        if self.ok:
-            return "ValidationReport(ok)"
-        return "ValidationReport(%s)" % "; ".join(self.problems)
+_INVALID = "invalid code table: "
 
 
-def validate_table(t):
-    """The partition report made when t was built.
-
-    Reports wrong bin counts or sizes, out-of-range words, duplicates,
-    and missing words.  Never raises; the report carries the failures.
-    """
-    return t._report
-
-
-def _describe(t):
-    # the per-word scan behind the report of a table that is not a partition
+def _invalid(l, k, bins):
+    # the ValueError for bins that are not a form (l, k) partition, listing
+    # every problem a per-word scan finds: wrong bin counts or sizes,
+    # out-of-range words, duplicates, missing words, non-integers
+    bins = bins.tolist() if isinstance(bins, np.ndarray) else bins
     problems = []
-    n = t.n
-    bins = t.bins
-    if len(bins) != 1 << t.k:
-        problems.append("expected %d bins, found %d" % (1 << t.k, len(bins)))
+    n = l + k
+    if len(bins) != 1 << k:
+        problems.append("expected %d bins, found %d" % (1 << k, len(bins)))
     for i, b in enumerate(bins):
-        if len(b) != 1 << t.l:
-            problems.append("bin %d has %d words, expected %d" % (i + 1, len(b), 1 << t.l))
+        if len(b) != 1 << l:
+            problems.append("bin %d has %d words, expected %d" % (i + 1, len(b), 1 << l))
     seen = {}
     for i, b in enumerate(bins):
         for w in b:
             if not 0 <= w < (1 << n):
-                problems.append("bin %d: word %d does not fit in %d bits" % (i + 1, w, n))
+                problems.append("bin %d: word %s does not fit in %d bits" % (i + 1, w, n))
             elif w in seen:
-                problems.append("duplicate word %s (bins %d and %d)" % (word_str(w, n), seen[w], i + 1))
+                shown = word_str(w, n) if isinstance(w, (int, np.integer)) else repr(w)
+                problems.append("duplicate word %s (bins %d and %d)" % (shown, seen[w], i + 1))
             else:
                 seen[w] = i + 1
     if len(problems) == 0 and len(seen) != 1 << n:
         missing = [word_str(w, n) for w in range(1 << n) if w not in seen]
         problems.append("missing words: %s" % ", ".join(missing))
-    if not problems and t.array is None:
+    if not problems:
         # equal to a partition's words, but not integers (1.0 == 1)
         problems.append("words must be integers")
-    return ValidationReport(problems)
-
-
-def require_valid(t):
-    """Raise ValueError unless t passes validate_table."""
-    report = validate_table(t)
-    if not report.ok:
-        raise ValueError("invalid code table: %s" % "; ".join(report.problems))
-    return t
+    return ValueError(_INVALID + "; ".join(problems))
 
 
 def xor_translate(t, z):
     """XOR every word with z, preserving bin structure.  Involutive."""
     if not 0 <= z < (1 << t.n):
         raise ValueError("z does not fit in %d bits" % t.n)
-    if t.array is None:
-        return CodeTable(t.l, t.k, [[w ^ z for w in b] for b in t.bins])
     return CodeTable._adopt(t.l, t.k, t.array ^ np.uint32(z))
 
 
@@ -264,8 +228,11 @@ def format_table(t):
     256-entry table of 8 ASCII bits, a bounded block of bins at a time,
     straight into one byte buffer that is decoded once.
     """
-    if t.array is None:
-        raise ValueError("only a (2**k, 2**l) table of %d-bit words can be written" % t.n)
+    return str(memoryview(_format_bytes(t)), "ascii")
+
+
+def _format_bytes(t):
+    # format_table's text as one uint8 buffer of its ASCII bytes
     n = t.n
     width = (n + 7) // 8
     head = b"%d %d\n" % (t.l, t.k)
@@ -281,25 +248,26 @@ def format_table(t):
         octets = block.astype(">u4").view(np.uint8).reshape(block.shape + (4,))[..., 4 - width :]
         chars = _BYTE_BITS[octets].view(np.uint8).reshape(block.shape + (8 * width,))
         cells[start : start + step, :, :n] = chars[..., 8 * width - n :]
-    return str(memoryview(buf), "ascii")
+    return buf
 
 
 def parse_table(text):
     """Parse the text format produced by format_table.
 
-    Raises TableParseError with the offending 1-based line number.
-    The parsed table must pass validate_table.  Text laid out exactly as
-    format_table writes it is decoded by array operations, a bounded
-    block of bins at a time; any other spelling goes through the line
-    scanner.
+    Raises TableParseError with the offending 1-based line number, or
+    with the table's problems when the bins are not a partition.  Text
+    laid out exactly as format_table writes it is decoded by array
+    operations, a bounded block of bins at a time; any other spelling
+    goes through the line scanner.
     """
-    t = _parse_canonical(text)
-    if t is None:
-        t = _scan_table(text)
-    report = validate_table(t)
-    if not report.ok:
-        raise TableParseError("; ".join(report.problems))
-    return t
+    try:
+        t = _parse_canonical(text)
+        return _scan_table(text) if t is None else t
+    except TableParseError:
+        raise
+    except ValueError as exc:
+        # the table's own problem list, which carries no line number
+        raise TableParseError(str(exc).removeprefix(_INVALID)) from None
 
 
 def _parse_canonical(text):

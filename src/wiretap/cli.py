@@ -135,7 +135,13 @@ def _matrix_block(l, k):
 def cmd_ni(args):
     l, k = parse_form(args.form)
     build = ni_code.closed_form_table if args.closed_form else ni_code.standard_table
-    _write(args, bitcore.format_table(build(l, k)))
+    table = build(l, k)
+    if args.out:
+        # the table's bytes go to the file as they are written: never held as text too
+        with open(args.out, "wb") as fh:
+            fh.write(bitcore._format_bytes(table))
+    else:
+        _write(args, bitcore.format_table(table))
     if args.emit_matrices:
         # the matrices always go to stdout, after a blank line when the table did too
         sys.stdout.write(("\n" if not args.out else "") + _matrix_block(l, k))

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bitcore import require_valid, word_rank
+from .bitcore import word_rank
 
 
 class NotLinearError(ValueError):
@@ -175,9 +175,11 @@ def _coset_mask(block):
     offsets = (np.arange(len(block), dtype=np.int64) << n)[:, None, None]
     step = max(1, _CHUNK_CELLS // (len(block) << l))
     chunks = [slice(start, start + step) for start in range(0, block.shape[1], step)]
-    bin_of = np.empty(len(block) << n, dtype=np.int32)
+    # the smallest unsigned type that holds every bin index
+    index = np.min_scalar_type(block.shape[1] - 1)
+    bin_of = np.empty(len(block) << n, dtype=index)
     for c in chunks:
-        bin_of[block[:, c] + offsets] = np.arange(block.shape[1], dtype=np.int32)[c, None]
+        bin_of[block[:, c] + offsets] = np.arange(block.shape[1], dtype=index)[c, None]
     home = bin_of[offsets.ravel()]
     ok = np.ones(len(block), dtype=bool)
     for c in chunks:
@@ -196,9 +198,8 @@ def is_coset_table(t):
     one gather shows that XOR by its first word maps every bin into the
     bin S that holds 0, so every bin is a translate of S (both have 2**l
     words); S then is a subgroup iff its GF(2) rank is l, since it holds
-    0 and 2**l words.  Raises ValueError for an invalid table.
+    0 and 2**l words.
     """
-    require_valid(t)
     return bool(_coset_mask(t.array[None])[0])
 
 
@@ -226,8 +227,8 @@ def equivocation_curve(t, grid):
     of conditional_equivocation (observations are equally likely).
 
     Values lie in [0, k]: 0 at p = 0 and p = 1, k at p = 1/2; none depends
-    on the other grid points.  The table is validated once; a certified
-    coset table is evaluated at z = 0 only.
+    on the other grid points.  A certified coset table is evaluated at
+    z = 0 only.
     """
     return _curve(t, _weight_rows(grid, t.n), is_coset_table(t))
 
@@ -254,7 +255,6 @@ def distance_profile(t, z):
     bin i at each distance from z.  Rows sum to 2**l and column j sums
     to C(n, j) over all bins, since the bins partition the space.
     """
-    require_valid(t)
     if not 0 <= z < (1 << t.n):
         raise ValueError("z does not fit in %d bits" % t.n)
     return _profiles(t.array[None], np.array([z], dtype=np.uint32))

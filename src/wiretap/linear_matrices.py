@@ -167,14 +167,15 @@ def coset_table(codec):
 
 
 def syndrome_check(codec):
-    """True iff the validity identity holds and syndromes separate bins.
+    """True iff G is invertible, the validity identity holds and syndromes
+    separate bins.
 
-    Every codeword of one bin must map to that bin's message and no
-    other; checked exhaustively over all 2**n codewords of coset_table,
-    one parity pass per column of H_T, so the temporaries stay a few
-    bytes per codeword whatever k is.
+    An invertible G makes coset_table a partition.  Every codeword of one
+    bin must map to that bin's message and no other; checked exhaustively
+    over all 2**n codewords of coset_table, one parity pass per column of
+    H_T, so the temporaries stay a few bytes per codeword whatever k is.
     """
-    if not _identity_holds(codec):
+    if gf2_rank(codec.G) != codec.n or not _identity_holds(codec):
         return False
     words = coset_table(codec).array
     messages = np.arange(1 << codec.k)[:, None]

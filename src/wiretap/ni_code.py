@@ -18,11 +18,10 @@ import math
 
 import numpy as np
 
-from .bitcore import N_CAP, CapExceeded, CodeTable, require_valid
+from .bitcore import N_CAP, CapExceeded, CodeTable
 
 
 def _check_growth(t):
-    require_valid(t)
     if t.n + 1 > N_CAP:
         raise CapExceeded("blocklength %d exceeds cap %d" % (t.n + 1, N_CAP))
 
@@ -174,5 +173,4 @@ def opposite_pairing_check(t):
     """
     if t.l != 1:
         raise ValueError("opposite pairing is defined for l = 1 tables")
-    require_valid(t)
     return bool((t.array[:, 0] ^ ((1 << t.n) - 1) == t.array[:, 1]).all())

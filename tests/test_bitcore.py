@@ -21,8 +21,6 @@ from wiretap.bitcore import (
     partition_of,
     tables_equal_ordered,
     tables_equal_partition,
-    validate_table,
-    require_valid,
     word_str,
     xor_translate,
 )
@@ -30,6 +28,7 @@ from wiretap.bitcore import (
 from wiretap.ni_code import closed_form_table, rasba, standard_table
 
 from golden_tables import GOLDEN, make
+from partition_check import is_partition
 
 
 def test_word_str_examples():
@@ -97,44 +96,40 @@ def test_code_table_cap():
 
 def test_validate_golden_tables():
     for form in GOLDEN:
-        assert validate_table(make(form)).ok
+        assert is_partition(make(form))
 
 
 def test_validate_reports_duplicate_and_missing():
-    t = CodeTable(1, 1, [[0b00, 0b00], [0b01, 0b10]])
-    report = validate_table(t)
-    assert not report.ok
-    text = "; ".join(report.problems)
-    assert "duplicate word 00" in text
+    with pytest.raises(ValueError, match="invalid code table: ") as exc:
+        CodeTable(1, 1, [[0b00, 0b00], [0b01, 0b10]])
+    assert "duplicate word 00" in str(exc.value)
     # the duplicate masks the missing-word scan, which only runs clean
-    t2 = CodeTable(1, 1, [[0b00, 0b11], [0b01, 0b01]])
-    text2 = "; ".join(validate_table(t2).problems)
-    assert "duplicate word 01" in text2
+    with pytest.raises(ValueError, match="duplicate word 01"):
+        CodeTable(1, 1, [[0b00, 0b11], [0b01, 0b01]])
 
 
 def test_validate_reports_missing_words():
-    t = CodeTable(1, 1, [[0b00], [0b01, 0b10, 0b11]])
-    report = validate_table(t)
-    assert not report.ok
-    text = "; ".join(report.problems)
+    with pytest.raises(ValueError) as exc:
+        CodeTable(1, 1, [[0b00], [0b01, 0b10, 0b11]])
+    text = str(exc.value)
     assert "bin 1 has 1 words" in text
     assert "bin 2 has 3 words" in text
 
 
 def test_validate_reports_out_of_range():
-    t = CodeTable(1, 1, [[0b00, 0b11], [0b01, 4]])
-    assert any("does not fit" in msg for msg in validate_table(t).problems)
+    with pytest.raises(ValueError, match="does not fit"):
+        CodeTable(1, 1, [[0b00, 0b11], [0b01, 4]])
 
 
 def test_validate_reports_bin_count():
-    t = CodeTable(1, 2, [[0, 7], [1, 6], [2, 5]])
-    assert any("expected 4 bins" in msg for msg in validate_table(t).problems)
+    with pytest.raises(ValueError, match="expected 4 bins"):
+        CodeTable(1, 2, [[0, 7], [1, 6], [2, 5]])
 
 
 def test_require_valid():
-    assert require_valid(make((1, 1))) is not None
+    assert is_partition(make((1, 1)))
     with pytest.raises(ValueError):
-        require_valid(CodeTable(1, 1, [[0, 0], [1, 2]]))
+        CodeTable(1, 1, [[0, 0], [1, 2]])
 
 
 def test_xor_translate_example():
@@ -155,7 +150,7 @@ def test_xor_translate_involution_and_validity():
             z = rng.randrange(1 << t.n)
             back = xor_translate(xor_translate(t, z), z)
             assert tables_equal_ordered(back, t)
-            assert validate_table(xor_translate(t, z)).ok
+            assert is_partition(xor_translate(t, z))
     assert tables_equal_ordered(xor_translate(t, 0), t)
     with pytest.raises(ValueError):
         xor_translate(make((1, 1)), 4)
@@ -300,6 +295,54 @@ def test_single_character_corruptions_fail_as_the_scanner_does(monkeypatch):
     assert sum(o[1] is not None and o[1] > 1 for o in errors) > len(errors) // 2
 
 
+@st.composite
+def _nestings(draw):
+    """A form, bins nested as lists, and whether they are a partition of its words.
+
+    The bins start as a random permutation of the n-bit words.  Edits move
+    a word to another bin, turn one into a float, put one out of range,
+    copy one over another, or make one a numpy integer.
+    """
+    l, k = draw(st.integers(0, 2)), draw(st.integers(1, 2))
+    n = l + k
+    words = draw(st.permutations(range(1 << n)))
+    bins = [list(words[i << l : (i + 1) << l]) for i in range(1 << k)]
+    for edit in draw(st.lists(st.sampled_from(["ragged", "float", "range", "duplicate", "numpy"]), max_size=3)):
+        spots = [(i, j) for i, b in enumerate(bins) for j in range(len(b))]
+        i, j = draw(st.sampled_from(spots))
+        if edit == "ragged":
+            to = draw(st.sampled_from([b for b in range(len(bins)) if b != i]))
+            bins[to].append(bins[i].pop(j))
+        elif edit == "float":
+            bins[i][j] = draw(st.sampled_from([float(bins[i][j]), bins[i][j] + 0.5]))
+        elif edit == "range":
+            bins[i][j] = draw(st.sampled_from([-1, 1 << n, (1 << n) + 5, 1 << 40, 1 << 70]))
+        elif edit == "duplicate":
+            a, b = draw(st.sampled_from([s for s in spots if s != (i, j)]))
+            bins[i][j] = bins[a][b]
+        elif isinstance(bins[i][j], int) and bins[i][j] in range(256):
+            bins[i][j] = draw(st.sampled_from([np.uint8, np.int64, np.uint32]))(bins[i][j])
+    flat = [w for b in bins for w in b]
+    partition = (
+        all(len(b) == 1 << l for b in bins)
+        and all(isinstance(w, (int, np.integer)) for w in flat)
+        and sorted(flat) == list(range(1 << n))
+    )
+    return l, k, bins, partition
+
+
+@settings(max_examples=300, deadline=None)
+@given(_nestings())
+def test_every_table_is_a_partition_or_is_not_built(nesting):
+    l, k, bins, partition = nesting
+    try:
+        t = CodeTable(l, k, bins)
+    except ValueError as exc:
+        assert not partition and str(exc).startswith("invalid code table: ")
+        return
+    assert partition and is_partition(t) and t.bins == bins
+
+
 def test_table_array_is_read_only_and_bins_are_fresh():
     source = np.array([[0, 3], [1, 2]], dtype=np.int64)
     t = CodeTable(1, 1, source)
@@ -312,15 +355,14 @@ def test_table_array_is_read_only_and_bins_are_fresh():
     bins[0][0] = 1
     assert bins is not t.bins and t.bins == [[0, 3], [1, 2]]
     assert all(type(w) is int for b in t.bins for w in b)
-    assert validate_table(t).ok and t.words() == [0, 3, 1, 2]
-    # a table that is not a partition keeps its bins as given and is never valid
-    ragged = CodeTable(1, 1, [[0], [1, 2, 3]])
-    assert ragged.array is None and ragged.bins == [[0], [1, 2, 3]] and not validate_table(ragged).ok
-    with pytest.raises(ValueError):
-        format_table(ragged)
-    assert "integers" in "; ".join(validate_table(CodeTable(1, 1, [[0.0, 3.0], [1.0, 2.0]])).problems)
-    wide = CodeTable(1, 1, [[0, 1 << 40], [1, 2]])
-    assert wide.array is None and wide.bins == [[0, 1 << 40], [1, 2]] and not validate_table(wide).ok
+    assert is_partition(t) and t.words() == [0, 3, 1, 2]
+    # input that is not a partition builds no table
+    with pytest.raises(ValueError, match="bin 1 has 1 words"):
+        CodeTable(1, 1, [[0], [1, 2, 3]])
+    with pytest.raises(ValueError, match="integers"):
+        CodeTable(1, 1, [[0.0, 3.0], [1.0, 2.0]])
+    with pytest.raises(ValueError, match="word 1099511627776 does not fit"):
+        CodeTable(1, 1, [[0, 1 << 40], [1, 2]])
 
 
 def test_code_table_never_aliases_or_freezes_a_callers_array():
@@ -334,7 +376,7 @@ def test_code_table_never_aliases_or_freezes_a_callers_array():
     assert not np.shares_memory(a.array, b.array)
     # builders hand their fresh arrays over: nothing else holds them, and they are read-only
     for t in (standard_table(2, 3), closed_form_table(2, 3), rasba(make((1, 1))), xor_translate(make((2, 1)), 5)):
-        assert not t.array.flags.writeable and validate_table(t).ok
+        assert not t.array.flags.writeable and is_partition(t)
 
 
 def _peak_bytes(call):

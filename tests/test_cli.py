@@ -123,6 +123,15 @@ def test_ni_closed_form_flag(tmp_path, capsys):
     assert tables_equal_ordered(got, ni_code.closed_form_table(3, 2))
 
 
+def test_ni_out_file_holds_the_bytes_stdout_gets(tmp_path, capsys):
+    out = tmp_path / "table.txt"
+    for form in ("0,1", "2,3", "5,4"):
+        code, stdout, _ = run(capsys, ["ni", "--form", form])
+        assert code == 0 and run(capsys, ["ni", "--form", form, "--out", str(out)])[0] == 0
+        l, k = map(int, form.split(","))
+        assert out.read_bytes() == stdout.encode("ascii") == format_table(ni_code.standard_table(l, k)).encode("ascii")
+
+
 def test_ni_closed_form_requires_overhead(capsys):
     code, _, err = run(capsys, ["ni", "--form", "0,3", "--closed-form"])
     assert code == 2

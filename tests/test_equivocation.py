@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +57,25 @@ def test_channel_weights_domain():
         channel_weights(1.1, 3)
     with pytest.raises(ValueError):
         channel_weights(0.3, 0)
+
+
+def test_weights_and_posterior_sums_at_n24_match_mpmath():
+    """channel_weights and bin posteriors at n = 24 against 50-digit mpmath values."""
+    n = 24
+    t = standard_table(12, 12)
+    z = 0x5A5A5A
+    with mpmath.workdps(50):
+        for p in (1e-3, 0.11, 0.5, 0.999):
+            P = mpmath.mpf(p)
+            want = [P**d * (1 - P) ** (n - d) for d in range(n + 1)]
+            assert all(abs(g - w) <= 1e-13 * w for g, w in zip(channel_weights(p, n), want))
+            post = bin_posteriors(t, z, p)
+            # the bins partition the words, so the posteriors sum to (p + 1 - p)**n
+            assert abs(mpmath.fsum(math.comb(n, d) * w for d, w in enumerate(want)) - 1) < 1e-45
+            assert abs(post.sum() - 1) <= 1e-12
+            for i in (0, 1234, len(post) - 1):
+                mass = mpmath.fsum(want[(w ^ z).bit_count()] for w in t.array[i].tolist())
+                assert abs(post[i] - mass) <= 1e-12 * mass
 
 
 def test_distance_profile_example():

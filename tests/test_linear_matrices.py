@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wiretap import linear_matrices
-from wiretap.bitcore import CodeTable, partition_of, tables_equal_partition, validate_table
+from wiretap.bitcore import CodeTable, partition_of, tables_equal_partition
 from wiretap.equivocation import total_equivocation, total_equivocation_linear
 from wiretap.linear_matrices import (
     UnsupportedForm,
@@ -24,6 +24,7 @@ from wiretap.linear_matrices import (
 from wiretap.ni_code import standard_table
 
 from golden_tables import GOLDEN_G, GOLDEN_H_T, make
+from partition_check import is_partition
 
 SUPPORTED_SMALL = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (3, 1), (4, 1), (4, 2)]
 
@@ -123,6 +124,14 @@ def test_gf2_rank_holds_63_columns_and_rejects_wider():
         gf2_rank(np.eye(100))
 
 
+def test_syndrome_check_rejects_a_singular_generator():
+    # G . H_T = [I_k; 0] holds, but G has rank 1: its codewords are 0, 0, 2, 2
+    codec = WiretapCodec(l=1, k=1, G=np.array([[1, 0], [0, 0]]), H_T=np.array([[1], [0]]))
+    assert not syndrome_check(codec)
+    with pytest.raises(ValueError, match="duplicate word 00"):
+        coset_table(codec)
+
+
 def test_syndrome_check_detects_corruption(monkeypatch):
     codec = build_codec(2, 3)
     bad_g = codec.G.copy()
@@ -154,7 +163,7 @@ def test_syndrome_check_memory_is_a_few_passes_over_the_codewords():
 def test_coset_tables_are_valid_partitions():
     for l, k in SUPPORTED_SMALL:
         t = coset_table(build_codec(l, k))
-        assert validate_table(t).ok
+        assert is_partition(t)
         assert t.bins[0][0] == 0
 
 
