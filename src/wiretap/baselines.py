@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from .bitcore import CodeTable, _covers_every_word
-from .equivocation import _CHUNK_CELLS, _coset_mask, _curve, _entropy_sums, _weight_rows, is_coset_table
+from .bitcore import CodeTable
+from .equivocation import _CHUNK_CELLS, _block_bits, _coset_mask, _weight_rows, equivocation_curve
 from .lp_limit import lp_limit_curve
 from .ni_code import standard_table
 
@@ -144,28 +144,23 @@ def compare_form(l, k, p_grid, samples=DEFAULT_SAMPLES, seed=0, exhaustive=False
         raise ValueError("samples must be >= 1")
     grid = [float(p) for p in p_grid]
     gammas = _weight_rows(grid, n)
-    family = standard_table(l, k)
-    ni = _curve(family, gammas, is_coset_table(family)).bits / n
-    # the baseline streams through in blocks: validated, certified and
-    # priced per route, each block folded into running max, sum and min
-    # vectors (the sum in extended precision where the platform has it),
-    # so memory does not grow with samples or with the grid
+    ni = equivocation_curve(standard_table(l, k), grid).bits / n
+    # the baseline streams through in blocks, each certified once and
+    # priced by _block_bits, its rates folded into running max, sum and
+    # min vectors (the sum in extended precision where the platform has
+    # it), so memory does not grow with samples or with the grid
     top, bottom = np.full(len(grid), -np.inf), np.full(len(grid), np.inf)
     total = np.zeros(len(grid), dtype=np.longdouble)
     routes = {"coset": 0, "full": 0}
     for block in _baseline_blocks(l, k, samples, seed, exhaustive):
-        if not _covers_every_word(block, n).all():
-            raise ValueError("a baseline table is not a partition of the %d-bit words" % n)
         coset = _coset_mask(block)
-        for route, members, observations in (("coset", coset, 1), ("full", ~coset, 1 << n)):
-            if not members.any():
-                continue
-            routes[route] += int(members.sum())
-            for j, sums in enumerate(_entropy_sums(block[members], observations, gammas)):
-                rates = sums / observations / n
-                top[j] = max(top[j], rates.max())
-                bottom[j] = min(bottom[j], rates.min())
-                total[j] += rates.sum(dtype=np.longdouble)
+        routes["coset"] += int(coset.sum())
+        routes["full"] += int((~coset).sum())
+        for j, bits in enumerate(_block_bits(block, coset, gammas)):
+            rates = bits / n
+            top[j] = max(top[j], rates.max())
+            bottom[j] = min(bottom[j], rates.min())
+            total[j] += rates.sum(dtype=np.longdouble)
     count = routes["coset"] + routes["full"]
     limits = lp_limit_curve(l, k, grid)
     rows = [

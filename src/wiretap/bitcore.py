@@ -112,7 +112,10 @@ class CodeTable:
         return t
 
     def _settle(self, l, k, array):
-        if not _covers_every_word(array[None], l + k)[0]:
+        # 2**n words in range are the 2**n words iff a scatter marks each
+        seen = np.zeros(1 << (l + k), dtype=bool)
+        seen[array] = True
+        if not seen.all():
             raise _invalid(l, k, array)
         self.l = l
         self.k = k
@@ -136,19 +139,6 @@ class CodeTable:
         return "CodeTable(l=%d, k=%d, %d bins)" % (self.l, self.k, len(self.array))
 
 
-def _covers_every_word(block, n):
-    """Per table of a (B, 2**k, 2**l) block of words below 2**n: True iff
-    its words are the 2**n words, each once.
-
-    A boolean scatter per table (cheaper than one 2-D scatter for a large
-    table): 2**n words in range cover every word iff each appears once.
-    """
-    seen = np.zeros((len(block), 1 << n), dtype=bool)
-    for words, row in zip(block, seen):
-        row[words] = True
-    return seen.all(axis=1)
-
-
 def _word_array(l, k, bins):
     # bins as a (2**k, 2**l) integer array (bins itself when it is one), or
     # None when they have another shape or hold anything but integers that
@@ -170,28 +160,33 @@ _INVALID = "invalid code table: "
 def _invalid(l, k, bins):
     # the ValueError for bins that are not a form (l, k) partition, listing
     # every problem a per-word scan finds: wrong bin counts or sizes,
-    # out-of-range words, duplicates, missing words, non-integers
-    bins = bins.tolist() if isinstance(bins, np.ndarray) else bins
+    # out-of-range words, duplicates, non-integers (with the right counts
+    # and sizes, words in range and none repeated, no word can be missing)
     problems = []
     n = l + k
-    if len(bins) != 1 << k:
-        problems.append("expected %d bins, found %d" % (1 << k, len(bins)))
-    for i, b in enumerate(bins):
-        if len(b) != 1 << l:
-            problems.append("bin %d has %d words, expected %d" % (i + 1, len(b), 1 << l))
+    if isinstance(bins, np.ndarray) and _word_array(l, k, bins) is not None:
+        # right-shaped integer words in range: only repeats can be wrong, so
+        # the scan visits just the words that one bincount counts twice
+        words = bins.astype(np.intp).ravel()
+        at = np.flatnonzero(np.bincount(words, minlength=1 << n)[words] > 1)
+        cells = zip((at >> l).tolist(), words[at].tolist())
+    else:
+        bins = bins.tolist() if isinstance(bins, np.ndarray) else bins
+        if len(bins) != 1 << k:
+            problems.append("expected %d bins, found %d" % (1 << k, len(bins)))
+        for i, b in enumerate(bins):
+            if len(b) != 1 << l:
+                problems.append("bin %d has %d words, expected %d" % (i + 1, len(b), 1 << l))
+        cells = ((i, w) for i, b in enumerate(bins) for w in b)
     seen = {}
-    for i, b in enumerate(bins):
-        for w in b:
-            if not 0 <= w < (1 << n):
-                problems.append("bin %d: word %s does not fit in %d bits" % (i + 1, w, n))
-            elif w in seen:
-                shown = word_str(w, n) if isinstance(w, (int, np.integer)) else repr(w)
-                problems.append("duplicate word %s (bins %d and %d)" % (shown, seen[w], i + 1))
-            else:
-                seen[w] = i + 1
-    if len(problems) == 0 and len(seen) != 1 << n:
-        missing = [word_str(w, n) for w in range(1 << n) if w not in seen]
-        problems.append("missing words: %s" % ", ".join(missing))
+    for i, w in cells:
+        if not 0 <= w < (1 << n):
+            problems.append("bin %d: word %s does not fit in %d bits" % (i + 1, w, n))
+        elif w in seen:
+            shown = word_str(w, n) if isinstance(w, (int, np.integer)) else repr(w)
+            problems.append("duplicate word %s (bins %d and %d)" % (shown, seen[w], i + 1))
+        else:
+            seen[w] = i + 1
     if not problems:
         # equal to a partition's words, but not integers (1.0 == 1)
         problems.append("words must be integers")

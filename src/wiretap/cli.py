@@ -78,13 +78,14 @@ def _grid_from_args(args):
     return parse_grid(args.p_grid)
 
 
-def _write(args, text):
-    """Write text to --out, or to stdout when it is absent."""
+def _write(args, data):
+    """Write bytes to --out, or to stdout when it is absent."""
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+        with open(args.out, "wb") as fh:
+            fh.write(data)
     else:
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
     return 0
 
 
@@ -102,7 +103,7 @@ def _emit(args, header, rows, meta):
         for row in rows:
             writer.writerow(["%.12g" % v if isinstance(v, float) else str(v) for v in row])
         text = buf.getvalue()
-    return _write(args, text)
+    return _write(args, text.encode())
 
 
 def read_csv_rows(path):
@@ -135,13 +136,8 @@ def _matrix_block(l, k):
 def cmd_ni(args):
     l, k = parse_form(args.form)
     build = ni_code.closed_form_table if args.closed_form else ni_code.standard_table
-    table = build(l, k)
-    if args.out:
-        # the table's bytes go to the file as they are written: never held as text too
-        with open(args.out, "wb") as fh:
-            fh.write(bitcore._format_bytes(table))
-    else:
-        _write(args, bitcore.format_table(table))
+    # the table's bytes go out as they are written: never held as text too
+    _write(args, bitcore._format_bytes(build(l, k)))
     if args.emit_matrices:
         # the matrices always go to stdout, after a blank line when the table did too
         sys.stdout.write(("\n" if not args.out else "") + _matrix_block(l, k))
@@ -166,7 +162,7 @@ def cmd_equivocation(args):
 
 def cmd_matrices(args):
     l, k = parse_form(args.form)
-    return _write(args, "form %d,%d\n" % (l, k) + _matrix_block(l, k))
+    return _write(args, ("form %d,%d\n" % (l, k) + _matrix_block(l, k)).encode())
 
 
 def cmd_compare(args):
@@ -216,8 +212,8 @@ def cmd_counts(args):
     if args.format == "json":
         payload = {"schema": 1, "form": "%d,%d" % (l, k), "candidate_rows": candidates,
                    "binning_codes": codes, "paths_from_1_1": paths}
-        return _write(args, json.dumps(payload, indent=2) + "\n")
-    return _write(args, "\n".join(lines) + "\n")
+        return _write(args, (json.dumps(payload, indent=2) + "\n").encode())
+    return _write(args, ("\n".join(lines) + "\n").encode())
 
 
 def build_parser():

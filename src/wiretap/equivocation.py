@@ -16,7 +16,8 @@ tables over a set of observations; the equivocation at p prices the
 distinct profiles once, as the LP prices its candidate rows
 (objective_coefficients), and weights them by those counts (the method
 of types).  For a coset table (is_coset_table) every observation has the
-conditional entropy of z = 0, so z = 0 alone gives the exact average.
+conditional entropy of z = 0, so z = 0 alone gives the exact average;
+_block_bits, which every curve and compare go through, holds that rule.
 Nothing is sampled.
 """
 
@@ -161,6 +162,23 @@ def _entropy_sums(block, count, gammas):
     return iter(sums)
 
 
+def _block_bits(block, coset, gammas):
+    """Per weight row of gammas, the (B,) equivocations in bits of a
+    (B, 2**k, 2**l) block of valid tables: the route rule.  Tables flagged
+    in the boolean `coset` are priced at z = 0 alone (exact for a coset
+    table, is_coset_table), the rest over all 2**n observations, each
+    route with members by one _entropy_sums."""
+    n = (block.shape[1] * block.shape[2]).bit_length() - 1
+    # a route that takes the whole block reads it uncopied
+    routes = [(members, count, _entropy_sums(block if members.all() else block[members], count, gammas))
+              for members, count in ((coset, 1), (~coset, 1 << n)) if members.any()]
+    for _ in gammas:
+        bits = np.empty(len(block))
+        for members, count, sums in routes:
+            bits[members] = next(sums) / count
+        yield bits
+
+
 def _coset_mask(block):
     """Per table of a (B, 2**k, 2**l) block of valid tables: is_coset_table.
 
@@ -215,13 +233,6 @@ def _weight_rows(grid, n):
     return np.array([channel_weights(p, n) for p in grid]).reshape(-1, n + 1)
 
 
-def _curve(t, gammas, coset):
-    # z = 0 alone for a coset table, else every observation
-    count = 1 if coset else 1 << t.n
-    sums = np.array([h[0] for h in _entropy_sums(t.array[None], count, gammas)])
-    return EquivocationCurve(sums / count, "coset" if coset else "full")
-
-
 def equivocation_curve(t, grid):
     """H(M|Z) in bits at every p of `grid`: the mean over all 2**n observations
     of conditional_equivocation (observations are equally likely).
@@ -230,7 +241,9 @@ def equivocation_curve(t, grid):
     on the other grid points.  A certified coset table is evaluated at
     z = 0 only.
     """
-    return _curve(t, _weight_rows(grid, t.n), is_coset_table(t))
+    coset = _coset_mask(t.array[None])
+    bits = [h[0] for h in _block_bits(t.array[None], coset, _weight_rows(grid, t.n))]
+    return EquivocationCurve(np.array(bits), "coset" if coset[0] else "full")
 
 
 def total_equivocation(t, p):
@@ -245,7 +258,7 @@ def total_equivocation_linear(t, p):
             "not a coset table: its translate by some unit vector differs from it "
             "as a partition, so H(M|Z=0) need not be the equivocation"
         )
-    return float(_curve(t, _weight_rows([p], t.n), True).bits[0])
+    return float(next(_block_bits(t.array[None], np.ones(1, dtype=bool), _weight_rows([p], t.n)))[0])
 
 
 def distance_profile(t, z):

@@ -144,9 +144,8 @@ class LpInstance:
     n: int
     e: int
     p: float
-    rows: np.ndarray   # (N, n+1) candidate rows
     f: np.ndarray      # objective coefficients, length N
-    A: np.ndarray      # (n+1, N) constraint matrix, column i = rows[i]
+    A: np.ndarray      # (n+1, N) constraint matrix, column i = candidate row i
     b: np.ndarray      # binomial right-hand side, length n+1
 
 
@@ -198,11 +197,11 @@ def build_lp(n, e, p):
     """Assemble the LP for blocklength n, bin size e, crossover p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    rows = enumerate_rows(n, e)
-    A = rows.T.astype(float)
+    # the candidate rows are held once, as the float columns of A
+    A = enumerate_rows(n, e).T.astype(float)
     f = objective_coefficients(A.T, channel_weights(p, n))
     b = np.array([math.comb(n, j) for j in range(n + 1)], dtype=float)
-    return LpInstance(n=n, e=e, p=p, rows=rows, f=f, A=A, b=b)
+    return LpInstance(n=n, e=e, p=p, f=f, A=A, b=b)
 
 
 def _pivot_loop(A, b, c, basis):
@@ -276,7 +275,7 @@ def solve_lp(inst, basis=None):
     x = np.zeros(A.shape[1])
     x[basis] = xb
     selected = [
-        (tuple(int(v) for v in inst.rows[i]), float(x[i]))
+        (tuple(int(v) for v in A[:, i]), float(x[i]))
         for i in np.nonzero(x > 1e-9)[0]
     ]
     return LpSolution(

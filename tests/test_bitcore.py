@@ -215,6 +215,45 @@ def test_parse_rejects_invalid_partition():
     assert "duplicate word" in str(exc.value)
 
 
+@st.composite
+def repeated_words(draw):
+    """A form (l, k) and a (2**k, 2**l) word array in range with at least one
+    word repeated: a permutation with some positions copied from others."""
+    l, k = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    size = 1 << (l + k)
+    words = draw(st.permutations(range(size)))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, size - 1))
+        words[at] = words[(at + draw(st.integers(1, size - 1))) % size]
+    dtype = draw(st.sampled_from([np.uint32, np.int64]))
+    return l, k, np.array(words, dtype=dtype).reshape(1 << k, 1 << l)
+
+
+@settings(max_examples=200, deadline=None)
+@given(repeated_words())
+def test_repeats_in_an_array_are_listed_as_the_per_word_scan_lists_them(case):
+    l, k, words = case
+    want = str(bitcore._invalid(l, k, words.tolist()))
+    assert "duplicate word" in want
+    assert str(bitcore._invalid(l, k, words)) == want
+    with pytest.raises(ValueError) as exc:
+        CodeTable(l, k, words)
+    assert str(exc.value) == want
+
+
+def test_parse_names_the_duplicate_of_a_flipped_bit_at_n_20():
+    t = standard_table(4, 16)
+    n, text = t.n, format_table(t)
+    b, i, bit = 1000, 5, 7
+    word = int(t.array[b, i]) ^ (1 << (n - 1 - bit))
+    at = text.index("\n") + 1 + (b << 4) * (n + 1) + i * (n + 1) + bit
+    (other,) = np.flatnonzero((t.array == word).any(axis=1))
+    first, second = sorted((b, int(other)))
+    with pytest.raises(TableParseError) as exc:
+        parse_table(text[:at] + "10"[int(text[at])] + text[at + 1 :])
+    assert str(exc.value) == "duplicate word %s (bins %d and %d)" % (word_str(word, n), first + 1, second + 1)
+
+
 def test_parse_skips_blank_lines():
     t = parse_table("1 1\n\n00 11\n\n01 10\n")
     assert tables_equal_ordered(t, make((1, 1)))

@@ -211,6 +211,26 @@ def test_linear_shortcut_rejects_nonlinear_table():
     assert "differs" in str(exc.value)
 
 
+def test_linear_shortcut_checks_before_it_prices(monkeypatch):
+    """A non-coset table raises NotLinearError without one kernel call."""
+    kernel = equivocation._types
+    calls = []
+
+    def spy_kernel(block, zs):
+        calls.append(len(zs))
+        return kernel(block, zs)
+
+    monkeypatch.setattr(equivocation, "_types", spy_kernel)
+    for t in (make((3, 2)), next(sample_binning(2, 3, seed=5))):
+        assert not is_coset_table(t)
+        with pytest.raises(NotLinearError):
+            total_equivocation_linear(t, 0.1)
+    assert calls == []
+    # the spy is live: a coset table is priced through it, at z = 0 alone
+    total_equivocation_linear(standard_table(2, 2), 0.1)
+    assert calls == [1]
+
+
 def test_coset_certificate_equals_brute_force_translation_check():
     """is_coset_table agrees with "every XOR translate has the same partition"."""
     for form, count in (((2, 1), 70), ((1, 2), 2520)):

@@ -89,7 +89,7 @@ def test_build_lp_shapes_and_rhs():
     inst = build_lp(5, 2, 0.1)
     assert inst.b.tolist() == [1, 5, 10, 10, 5, 1]
     assert inst.A.shape == (6, 21)
-    assert np.array_equal(inst.A.T, inst.rows)
+    assert np.array_equal(inst.A.T, enumerate_rows(5, 2))
 
 
 def test_objective_uniform_at_half():
@@ -100,7 +100,7 @@ def test_objective_uniform_at_half():
 
 def test_objective_handles_mass_above_one():
     inst = build_lp(2, 2, 0.1)
-    idx = [tuple(r) for r in inst.rows.tolist()].index((2, 0, 0))
+    idx = [tuple(r) for r in inst.A.T.tolist()].index((2, 0, 0))
     want = -1.62 * math.log2(1.62)
     assert abs(inst.f[idx] - want) < 1e-12
     assert inst.f[idx] < 0.0
@@ -143,8 +143,8 @@ def test_any_real_code_is_feasible():
     """Distance profiles of actual tables are LP-feasible points."""
     for t in sample_binning(2, 3, seed=41, count=3):
         inst = build_lp(t.n, 1 << t.l, 0.3)
-        index = {tuple(r): i for i, r in enumerate(inst.rows.tolist())}
-        x = np.zeros(len(inst.rows))
+        index = {tuple(r): i for i, r in enumerate(inst.A.T.tolist())}
+        x = np.zeros(len(inst.A.T))
         for row in distance_profile(t, 13).tolist():
             x[index[tuple(row)]] += 1
         assert np.array_equal(inst.A @ x, inst.b)
@@ -323,12 +323,12 @@ def test_solve_lp_needs_the_pure_rows():
     inst = build_lp(3, 2, 0.2)
     want = solve_lp(inst).objective
     # the same columns in reverse order: the LP is unchanged, the start is gone
-    flipped = LpInstance(n=3, e=2, p=0.2, rows=inst.rows[::-1], f=inst.f[::-1], A=inst.A[:, ::-1], b=inst.b)
+    flipped = LpInstance(n=3, e=2, p=0.2, f=inst.f[::-1], A=inst.A[:, ::-1], b=inst.b)
     with pytest.raises(SimplexError):
         solve_lp(flipped)
     assert abs(solve_lp(flipped, [len(inst.f) - 1 - i for i in solve_lp(inst).basis]).objective - want) < 1e-12
     # too few columns to hold the last pure row
-    short = LpInstance(n=3, e=2, p=0.2, rows=inst.rows[:5], f=inst.f[:5], A=inst.A[:, :5], b=inst.b)
+    short = LpInstance(n=3, e=2, p=0.2, f=inst.f[:5], A=inst.A[:, :5], b=inst.b)
     with pytest.raises(SimplexError):
         solve_lp(short)
 
