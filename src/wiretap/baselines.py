@@ -41,11 +41,13 @@ def _sample_blocks(l, k, seed, count):
     rng = np.random.Generator(bits)
     state = bits.state
     for start in range(0, count, size):
+        # shuffling 0..2**n-1 in place draws what permutation(2**n) draws
         block = np.empty((min(count - start, size), 1 << n), dtype=np.uint32)
-        for i in range(len(block)):
-            state["state"]["key"][1] = start + i
+        block[:] = np.arange(1 << n, dtype=np.uint32)
+        for i, row in enumerate(block, start):
+            state["state"]["key"][1] = i
             bits.state = state
-            block[i] = rng.permutation(1 << n)
+            rng.shuffle(row)
         yield block.reshape(-1, 1 << k, 1 << l)
 
 
@@ -146,9 +148,9 @@ def compare_form(l, k, p_grid, samples=DEFAULT_SAMPLES, seed=0, exhaustive=False
     gammas = _weight_rows(grid, n)
     ni = equivocation_curve(standard_table(l, k), grid).bits / n
     # the baseline streams through in blocks, each certified once and
-    # priced by _block_bits, its rates folded into running max, sum and
-    # min vectors (the sum in extended precision where the platform has
-    # it), so memory does not grow with samples or with the grid
+    # priced by _block_bits, whose grid slabs of rates fold into running
+    # max, sum and min vectors (the sum in extended precision where the
+    # platform has it), so memory does not grow with samples or the grid
     top, bottom = np.full(len(grid), -np.inf), np.full(len(grid), np.inf)
     total = np.zeros(len(grid), dtype=np.longdouble)
     routes = {"coset": 0, "full": 0}
@@ -156,11 +158,12 @@ def compare_form(l, k, p_grid, samples=DEFAULT_SAMPLES, seed=0, exhaustive=False
         coset = _coset_mask(block)
         routes["coset"] += int(coset.sum())
         routes["full"] += int((~coset).sum())
-        for j, bits in enumerate(_block_bits(block, coset, gammas)):
+        for j, bits in _block_bits(block, coset, gammas):
             rates = bits / n
-            top[j] = max(top[j], rates.max())
-            bottom[j] = min(bottom[j], rates.min())
-            total[j] += rates.sum(dtype=np.longdouble)
+            span = slice(j, j + len(rates))
+            np.maximum(top[span], rates.max(axis=1), out=top[span])
+            np.minimum(bottom[span], rates.min(axis=1), out=bottom[span])
+            total[span] += rates.sum(axis=1, dtype=np.longdouble)
     count = routes["coset"] + routes["full"]
     limits = lp_limit_curve(l, k, grid)
     rows = [

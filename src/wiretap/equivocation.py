@@ -12,13 +12,14 @@ The likelihood sum of a bin is its distance profile (how many of its
 words lie at each distance from z) times the vector of p**d * q**(n-d),
 so a bin's entropy term depends on its profile alone.  One kernel,
 _types, counts how often each distinct profile occurs in a block of
-tables over a set of observations; the equivocation at p prices the
-distinct profiles once, as the LP prices its candidate rows
-(objective_coefficients), and weights them by those counts (the method
-of types).  For a coset table (is_coset_table) every observation has the
-conditional entropy of z = 0, so z = 0 alone gives the exact average;
-_block_bits, which every curve and compare go through, holds that rule.
-Nothing is sampled.
+tables over a chunk of observations; the distinct profiles are priced
+for a slab of grid points at once, as the LP prices its candidate rows
+(objective_coefficients), and each point's table sums are one
+matrix-vector product of those counts with the point's prices (the
+method of types).  For a coset table (is_coset_table) every observation
+has the conditional entropy of z = 0, so z = 0 alone gives the exact
+average; _block_bits, which every curve and compare go through, holds
+that rule.  Nothing is sampled.
 """
 
 from typing import NamedTuple
@@ -67,7 +68,8 @@ def channel_weights(p, n):
 
 
 # Tables and observations per kernel call: about this many distance
-# cells, never fewer than one table at one observation.
+# cells, never fewer than one table at one observation.  A grid slab of
+# prices and sums holds about a sixteenth as many values.
 _CHUNK_CELLS = 1 << 16
 
 
@@ -79,9 +81,14 @@ def objective_coefficients(rows, gamma):
     posterior mass and f_i its entropy term: the LP objective and the
     equivocation kernel price rows alike.  Evaluated formally for every
     row, including rows with P_i > 1 whose coefficient is negative; the
-    maximization simply never picks them.
+    maximization simply never picks them.  A (S, n+1) stack of weight
+    rows gives (S, N) coefficients, row j at gamma[j]; each point's
+    masses are reduced on their own, so no other row of the stack
+    changes a bit of them.
     """
-    return _entropy_terms(rows @ gamma)
+    if np.ndim(gamma) == 1:
+        return _entropy_terms(rows @ gamma)
+    return _entropy_terms(np.einsum("sd,gd->sg", gamma, rows))
 
 
 def _entropy_terms(P):
@@ -90,19 +97,13 @@ def _entropy_terms(P):
         return np.where(P > 0.0, -P * np.log2(P), 0.0)
 
 
-def _distances(block, zs):
-    """(cells, 2**l) Hamming distances of a (B, 2**k, 2**l) block of tables:
-    cell (table, observation of zs, bin), in that order, holds the
-    distances of the bin's words to the observation."""
-    return np.bitwise_count(block[:, None] ^ zs[:, None, None]).reshape(-1, block.shape[2])
-
-
 def _profiles(block, zs):
-    """(cells, n+1) distance profiles of a block, in the cell order of
-    _distances: row c counts the words of cell c's bin at each distance
-    from its observation.  One bincount per _CHUNK_CELLS distances."""
+    """(cells, n+1) distance profiles of a (B, 2**k, 2**l) block of tables:
+    row c counts the words of cell c's bin at each distance from its
+    observation, cells in the order (table, observation of zs, bin).  One
+    bincount per _CHUNK_CELLS distances."""
     n = (block.shape[1] * block.shape[2]).bit_length() - 1
-    dist = _distances(block, zs)
+    dist = np.bitwise_count(block[:, None] ^ zs[:, None, None]).reshape(-1, block.shape[2])
     rows = np.empty((len(dist), n + 1), dtype=np.int64)
     step = max(1, _CHUNK_CELLS // dist.shape[1])
     for start in range(0, len(dist), step):
@@ -118,65 +119,80 @@ def _types(block, zs):
     Every (table, observation, bin) cell of a (B, 2**k, 2**l) block of
     valid tables at the observations zs has a profile (_profiles), an LP
     candidate row.  Returns `rows`, (G, n+1) floats, the distinct
-    profiles, and `counts`, (B, G) integers, how many cells of each table
+    profiles, and `counts`, (B, G) floats, how many cells of each table
     have each one.  A table's entropy at p, summed over zs, is then
     counts . f with f = objective_coefficients(rows, channel_weights(p, n))
     (the method of types).  A profile c is grouped by its exact key
-    sum_d c_d (2**l + 1)**d, the sum of (2**l + 1)**d over the cell's
-    words, so no profile is built; when a key can pass 2**63 every cell
-    is its own group.
+    sum_d c_d (2**l + 1)**d, the sum over the cell's words w of the term
+    (2**l + 1)**d(w, z), so no profile is built; the terms of every word
+    at every observation of zs are tabled once for all B tables.  When a
+    key can pass 2**63 every cell is its own group.
     """
     n = (block.shape[1] * block.shape[2]).bit_length() - 1
     base = block.shape[2] + 1
     if base ** (n + 1) < 1 << 63:
         powers = base ** np.arange(n + 1, dtype=np.int64)
-        keys, group = np.unique(powers[_distances(block, zs)].sum(axis=1), return_inverse=True)
+        terms = powers[np.bitwise_count(np.arange(1 << n, dtype=np.uint32)[:, None] ^ zs)]
+        # each slice of bins gathers about _CHUNK_CELLS terms, a word's row
+        # at a time, and einsum sums each bin's words without a short-axis
+        # reduction per cell; keys are in cell order (table, z, bin)
+        keys = np.empty((len(block), len(zs), block.shape[1]), dtype=np.int64)
+        step = max(1, _CHUNK_CELLS // (len(block) * len(zs) * block.shape[2]))
+        for c in range(0, block.shape[1], step):
+            keys[:, :, c : c + step] = np.einsum("bkwz->bzk", terms[block[:, c : c + step]])
+        del terms  # freed before np.unique sorts the keys
+        keys, group = np.unique(keys.ravel(), return_inverse=True)
         rows = keys[:, None] // powers % base
     else:
         rows = _profiles(block, zs)
         group = np.arange(len(rows))
     table = np.arange(len(group)) // (len(group) // len(block))
     counts = np.bincount(table * len(rows) + group, minlength=len(block) * len(rows))
-    return rows.astype(float), counts.reshape(len(block), len(rows))
+    return rows.astype(float), counts.reshape(len(block), len(rows)).astype(float)
 
 
 def _entropy_sums(block, count, gammas):
-    """Per weight row of gammas, the (B,) entropies of a block of valid
-    tables summed over the observations 0..count-1.
+    """Grid slabs (j, sums) of a block of valid tables: sums[i, b] is the
+    entropy of table b at weight row j + i of gammas, summed over the
+    observations 0..count-1.
 
-    Observations go to _types in chunks of about _CHUNK_CELLS cells.  One
-    chunk is priced lazily, one weight row at a time, so a block of many
-    tables holds no value per table and grid point; with several chunks
-    (a lone table whose full route passes _CHUNK_CELLS) each chunk's rows
-    are priced at every grid point and the block's sums over the grid kept.
+    Observations go to _types in chunks of about _CHUNK_CELLS cells.  A
+    chunk's distinct profiles are priced for a slab of weight rows in one
+    objective_coefficients call, and each point's table sums are one
+    counts @ f[i].  A slab holds grid rows x max(tables, profiles) values,
+    about _CHUNK_CELLS >> 4, or a single grid row.  With several chunks
+    (a block whose full route passes _CHUNK_CELLS, in practice one wide
+    table) every chunk adds its slabs into sums held over the whole grid,
+    and the last chunk yields them.
     """
     step = max(1, _CHUNK_CELLS // block.size)
-    if count <= step:
-        rows, counts = _types(block, np.arange(count, dtype=np.uint32))
-        return ((counts * objective_coefficients(rows, gamma)).sum(axis=1) for gamma in gammas)
-    sums = np.zeros((len(gammas), len(block)))
-    for start in range(0, count if len(gammas) else 0, step):
+    starts = range(0, count if len(gammas) else 0, step)
+    held = np.zeros((len(gammas), len(block))) if len(starts) > 1 else None
+    for start in starts:
         rows, counts = _types(block, np.arange(start, min(start + step, count), dtype=np.uint32))
-        for j, gamma in enumerate(gammas):
-            sums[j] += (counts * objective_coefficients(rows, gamma)).sum(axis=1)
-    return iter(sums)
+        size = max(1, (_CHUNK_CELLS >> 4) // max(len(block), len(rows)))
+        for j in range(0, len(gammas), size):
+            sums = np.array([counts @ f for f in objective_coefficients(rows, gammas[j : j + size])])
+            if held is not None:
+                held[j : j + size] += sums
+                sums = held[j : j + size]
+            if start == starts[-1]:
+                yield j, sums
 
 
 def _block_bits(block, coset, gammas):
-    """Per weight row of gammas, the (B,) equivocations in bits of a
-    (B, 2**k, 2**l) block of valid tables: the route rule.  Tables flagged
-    in the boolean `coset` are priced at z = 0 alone (exact for a coset
-    table, is_coset_table), the rest over all 2**n observations, each
-    route with members by one _entropy_sums."""
+    """Grid slabs (j, bits) of a (B, 2**k, 2**l) block of valid tables: the
+    route rule.  Tables flagged in the boolean `coset` are priced at z = 0
+    alone (exact for a coset table, is_coset_table), the rest over all
+    2**n observations.  Each route with members yields the slabs of one
+    _entropy_sums, coset route first: bits[i] holds the equivocations in
+    bits of that route's tables, in block order, at weight row j + i."""
     n = (block.shape[1] * block.shape[2]).bit_length() - 1
-    # a route that takes the whole block reads it uncopied
-    routes = [(members, count, _entropy_sums(block if members.all() else block[members], count, gammas))
-              for members, count in ((coset, 1), (~coset, 1 << n)) if members.any()]
-    for _ in gammas:
-        bits = np.empty(len(block))
-        for members, count, sums in routes:
-            bits[members] = next(sums) / count
-        yield bits
+    for members, count in ((coset, 1), (~coset, 1 << n)):
+        if members.any():
+            # a route that takes the whole block reads it uncopied
+            for j, sums in _entropy_sums(block if members.all() else block[members], count, gammas):
+                yield j, sums / count
 
 
 def _coset_mask(block):
@@ -242,8 +258,11 @@ def equivocation_curve(t, grid):
     z = 0 only.
     """
     coset = _coset_mask(t.array[None])
-    bits = [h[0] for h in _block_bits(t.array[None], coset, _weight_rows(grid, t.n))]
-    return EquivocationCurve(np.array(bits), "coset" if coset[0] else "full")
+    gammas = _weight_rows(grid, t.n)
+    bits = np.empty(len(gammas))
+    for j, h in _block_bits(t.array[None], coset, gammas):
+        bits[j : j + len(h)] = h[:, 0]
+    return EquivocationCurve(bits, "coset" if coset[0] else "full")
 
 
 def total_equivocation(t, p):
@@ -258,7 +277,7 @@ def total_equivocation_linear(t, p):
             "not a coset table: its translate by some unit vector differs from it "
             "as a partition, so H(M|Z=0) need not be the equivocation"
         )
-    return float(next(_block_bits(t.array[None], np.ones(1, dtype=bool), _weight_rows([p], t.n)))[0])
+    return float(next(_block_bits(t.array[None], np.ones(1, dtype=bool), _weight_rows([p], t.n)))[1][0, 0])
 
 
 def distance_profile(t, z):

@@ -71,8 +71,10 @@ class CountMismatch(RuntimeError):
 def enumerate_rows(n, e, cap=ROW_CAP):
     """All weak compositions of e into n+1 parts, colexicographically.
 
-    Returns an (N, n+1) integer array with N = C(e+n, e).  Raises
-    CapExceeded before materializing anything when N is past cap.
+    Returns an (N, n+1) float array with N = C(e+n, e); its entries are
+    integers of at most e, exact in float64, and as floats they are the
+    LP's constraint columns without a second copy.  Raises CapExceeded
+    before materializing anything when N is past cap.
     """
     if n < 1 or e < 1:
         raise ValueError("need n >= 1 and e >= 1")
@@ -85,7 +87,7 @@ def enumerate_rows(n, e, cap=ROW_CAP):
     # Column t of that list repeats the last entry of each length-(t+1)
     # prefix once per completion; a prefix ending in v has the children
     # v, v+1, ..., e.  Only the rows array and O(N) scratch are live.
-    rows = np.empty((count, n + 1), dtype=np.int64)
+    rows = np.empty((count, n + 1))
     last = np.arange(e + 1, dtype=np.int64)
     for t in range(n):
         if t:
@@ -197,8 +199,8 @@ def build_lp(n, e, p):
     """Assemble the LP for blocklength n, bin size e, crossover p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    # the candidate rows are held once, as the float columns of A
-    A = enumerate_rows(n, e).T.astype(float)
+    # the candidate rows are held once, as the columns of A
+    A = enumerate_rows(n, e).T
     f = objective_coefficients(A.T, channel_weights(p, n))
     b = np.array([math.comb(n, j) for j in range(n + 1)], dtype=float)
     return LpInstance(n=n, e=e, p=p, f=f, A=A, b=b)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from wiretap import baselines
+from wiretap import baselines, equivocation
 from wiretap.baselines import (
     DEFAULT_SAMPLES,
     RNG_ALGORITHM,
@@ -187,6 +187,40 @@ def test_compare_form_memory_does_not_grow_with_samples():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def test_compare_form_folds_many_slabs_like_per_table_curves(monkeypatch):
+    """A small _CHUNK_CELLS splits each block of 64 (3,2) tables into several kernel
+    chunks and a 1,001-point grid into many slabs, none past its value budget; max,
+    mean and min still equal those of per-table equivocation_curve."""
+    grid = [float(p) for p in np.linspace(0.0, 0.5, 1001)]
+    rates = np.array([equivocation_curve(t, grid).bits / 5 for t in sample_binning(3, 2, 11, count=300)])
+    kernel, price = equivocation._types, equivocation.objective_coefficients
+    widths, slabs = [], []
+
+    def spy_kernel(block, zs):
+        rows, counts = kernel(block, zs)
+        widths.append(max(len(block), len(rows)))
+        return rows, counts
+
+    def spy_price(rows, gamma):
+        # a slab holds grid rows x max(tables, profiles) values, or one grid row
+        assert len(gamma) == 1 or len(gamma) * widths[-1] <= equivocation._CHUNK_CELLS >> 4
+        slabs.append(len(gamma))
+        return price(rows, gamma)
+
+    monkeypatch.setattr(equivocation, "_CHUNK_CELLS", 1 << 14)
+    monkeypatch.setattr(equivocation, "_types", spy_kernel)
+    monkeypatch.setattr(equivocation, "objective_coefficients", spy_price)
+    record = compare_form(3, 2, grid, samples=300, seed=11)
+    assert record["samples"] == 300 and record["routes"] == {"coset": 0, "full": 300}
+    # 5 blocks (64 tables, the last 44), each in 4 chunks of 8 observations
+    assert len(widths) == 5 * 4
+    assert sum(slabs) == len(widths) * len(grid) and len(slabs) > 10 * len(widths)
+    for row, hi, mean, lo in zip(record["rows"], rates.max(0), rates.mean(0), rates.min(0)):
+        assert abs(row["rand_max"] - hi) <= 1e-12
+        assert abs(row["rand_mean"] - mean) <= 1e-12
+        assert abs(row["rand_min"] - lo) <= 1e-12
 
 
 def test_sampler_streams_equal_a_fresh_philox_generator_per_sample(monkeypatch):

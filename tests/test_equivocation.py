@@ -304,26 +304,29 @@ def test_curve_equals_per_point_values_on_a_shuffled_grid():
 
 
 def test_curve_chunks_agree_with_one_pass(monkeypatch):
-    """Splitting observations and weight rows into small blocks changes nothing past 1e-12."""
+    """Splitting observations, bins and weight rows into small blocks changes nothing
+    past 1e-12; at 5 cells every bin's key terms are gathered on their own."""
     grid = [0.03, 0.2, 0.37, 0.5]
     tables = [next(sample_binning(3, 3, seed=8)), standard_table(3, 3)]
     whole = [equivocation_curve(t, grid).bits for t in tables]
     profile = distance_profile(tables[0], 5)
-    monkeypatch.setattr(equivocation, "_CHUNK_CELLS", 100)
-    for t, want in zip(tables, whole):
-        assert np.allclose(equivocation_curve(t, grid).bits, want, rtol=0, atol=1e-12)
-    assert distance_profile(tables[0], 5).tolist() == profile.tolist()
+    for cells in (100, 5):
+        monkeypatch.setattr(equivocation, "_CHUNK_CELLS", cells)
+        for t, want in zip(tables, whole):
+            assert np.allclose(equivocation_curve(t, grid).bits, want, rtol=0, atol=1e-12)
+        assert distance_profile(tables[0], 5).tolist() == profile.tolist()
 
 
 def test_every_gather_stays_within_the_chunk_budget(monkeypatch):
     """Over a 1,001-point grid no kernel call exceeds max(_CHUNK_CELLS, 2**n) distance
-    cells, every observation is counted once, and every call's rows are priced at every
-    grid point, in grid order."""
+    cells, every observation is counted once, every call's rows are priced at every
+    grid point, in grid order, and no slab holds more than grid rows x profiles of
+    about _CHUNK_CELLS >> 4 values, or a single grid row."""
     grid = [float(p) for p in np.linspace(0.0, 0.5, 1001)]
     tables = [next(sample_binning(2, 5, seed=3)), next(sample_binning(2, 8, seed=3)), standard_table(2, 12)]
     want = [equivocation_curve(t, grid).bits for t in tables]
-    kernel, price = equivocation._types, equivocation.objective_coefficients
-    observations, priced = [], []
+    kernel, price, slabs = equivocation._types, equivocation.objective_coefficients, equivocation._block_bits
+    observations, priced, yielded = [], [], []
 
     def spy_kernel(block, zs):
         n = block.shape[1].bit_length() + block.shape[2].bit_length() - 2
@@ -332,14 +335,24 @@ def test_every_gather_stays_within_the_chunk_budget(monkeypatch):
         return kernel(block, zs)
 
     def spy_price(rows, gamma):
+        # a block of one table: a slab holds len(gamma) x max(1, profiles) values
+        assert len(gamma) == 1 or len(gamma) * max(1, len(rows)) <= equivocation._CHUNK_CELLS >> 4
         priced.append(gamma)
         return price(rows, gamma)
 
+    def spy_slabs(block, coset, gammas):
+        for j, bits in slabs(block, coset, gammas):
+            assert bits.shape == (len(priced[-1]), 1)
+            yielded.append(j)
+            yield j, bits
+
     monkeypatch.setattr(equivocation, "_types", spy_kernel)
     monkeypatch.setattr(equivocation, "objective_coefficients", spy_price)
+    monkeypatch.setattr(equivocation, "_block_bits", spy_slabs)
     for t, bits, route in zip(tables, want, ("full", "full", "coset")):
         observations.clear()
         priced.clear()
+        yielded.clear()
         curve = equivocation_curve(t, grid)
         assert curve.route == route
         assert curve.bits.tolist() == bits.tolist()
@@ -347,8 +360,10 @@ def test_every_gather_stays_within_the_chunk_budget(monkeypatch):
         calls = -(-count // max(1, equivocation._CHUNK_CELLS >> t.n))
         assert len(observations) == calls and (calls > 1) == ((count << t.n) > equivocation._CHUNK_CELLS)
         assert sum(observations, []) == list(range(count))
-        assert np.array_equal(np.array(priced), np.tile(equivocation._weight_rows(grid, t.n), (calls, 1)))
-
+        assert np.array_equal(np.concatenate(priced), np.tile(equivocation._weight_rows(grid, t.n), (calls, 1)))
+        # the last chunk's slabs are yielded, in grid order, and split the grid
+        assert len(yielded) > 1
+        assert yielded == np.cumsum([0] + [len(g) for g in priced[-len(yielded) :]])[:-1].tolist()
 
 
 def test_ungrouped_profiles_match_the_oracle_in_one_chunk_and_in_many(monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +91,20 @@ def test_build_lp_shapes_and_rhs():
     assert inst.b.tolist() == [1, 5, 10, 10, 5, 1]
     assert inst.A.shape == (6, 21)
     assert np.array_equal(inst.A.T, enumerate_rows(5, 2))
+
+
+def test_build_lp_holds_the_rows_once():
+    """At (4,1) the traced peak of build_lp stays within 1.8 times A.nbytes: the
+    candidate rows are enumerated as the float columns of A, with no integer copy."""
+    build_lp(5, 16, 0.1)  # first-call allocations are not the point
+    tracemalloc.start()
+    try:
+        inst = build_lp(5, 16, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inst.A.shape == (6, 20349) and inst.A.dtype == np.float64
+    assert peak <= 1.8 * inst.A.nbytes, (peak, inst.A.nbytes)
 
 
 def test_objective_uniform_at_half():
