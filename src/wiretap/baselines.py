@@ -146,6 +146,8 @@ def compare_form(l, k, p_grid, samples=DEFAULT_SAMPLES, seed=0, exhaustive=False
         raise ValueError("samples must be >= 1")
     grid = [float(p) for p in p_grid]
     gammas = _weight_rows(grid, n)
+    # the LP first: a form past its row cap fails before any sampling
+    limits = lp_limit_curve(l, k, grid)
     ni = equivocation_curve(standard_table(l, k), grid).bits / n
     # the baseline streams through in blocks, each certified once and
     # priced by _block_bits, whose grid slabs of rates fold into running
@@ -165,7 +167,6 @@ def compare_form(l, k, p_grid, samples=DEFAULT_SAMPLES, seed=0, exhaustive=False
             np.minimum(bottom[span], rates.min(axis=1), out=bottom[span])
             total[span] += rates.sum(axis=1, dtype=np.longdouble)
     count = routes["coset"] + routes["full"]
-    limits = lp_limit_curve(l, k, grid)
     rows = [
         {"p": p, "ni_rate": float(ni_p), "lp_limit": float(limit),
          "inf_limit": infinite_blocklength_limit(p, k / n), "rand_max": float(hi),

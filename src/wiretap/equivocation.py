@@ -92,9 +92,14 @@ def objective_coefficients(rows, gamma):
 
 
 def _entropy_terms(P):
-    # -P log2 P elementwise, 0 log 0 = 0
+    # -P log2 P elementwise, 0 log 0 = 0, in one buffer beside P
+    out = np.empty_like(P)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(P > 0.0, -P * np.log2(P), 0.0)
+        np.log2(P, out=out)
+        out *= P
+        np.negative(out, out=out)
+        out[P <= 0.0] = 0.0
+    return out
 
 
 def _profiles(block, zs):

@@ -28,6 +28,9 @@ the termination guarantee.  A column enters only when its reduced cost
 exceeds PRICE_TOL = 1e-12; the ratio test and zero detection use
 TOL = 1e-10.  Pricing at 1e-10 would stop up to about 6e-11 bits short
 of the optimum, e.g. at p = 0.05 for the forms (4,1) and (3,2).
+A is held row-major, (n+1, N) C-contiguous, so the pricing pass y @ A
+reads n+1 contiguous rows, and every pass of a solve writes its reduced
+costs into one reused N-length buffer.
 
 Every solution carries a dual certificate.  With y from the final basis
 and d = max(0, max(f - A^T y)), every feasible x has sum(x) = 2**n / e
@@ -71,10 +74,11 @@ class CountMismatch(RuntimeError):
 def enumerate_rows(n, e, cap=ROW_CAP):
     """All weak compositions of e into n+1 parts, colexicographically.
 
-    Returns an (N, n+1) float array with N = C(e+n, e); its entries are
-    integers of at most e, exact in float64, and as floats they are the
-    LP's constraint columns without a second copy.  Raises CapExceeded
-    before materializing anything when N is past cap.
+    Returns an (N, n+1) float array with N = C(e+n, e): the transposed
+    view of a C-contiguous (n+1, N) buffer.  Its entries are integers of
+    at most e, exact in float64, and the buffer is the LP's row-major
+    constraint matrix without a second copy.  Raises CapExceeded before
+    materializing anything when N is past cap.
     """
     if n < 1 or e < 1:
         raise ValueError("need n >= 1 and e >= 1")
@@ -86,8 +90,10 @@ def enumerate_rows(n, e, cap=ROW_CAP):
     # order on the nondecreasing sequences (s_0, ..., s_{n-1}) in [0, e].
     # Column t of that list repeats the last entry of each length-(t+1)
     # prefix once per completion; a prefix ending in v has the children
-    # v, v+1, ..., e.  Only the rows array and O(N) scratch are live.
-    rows = np.empty((count, n + 1))
+    # v, v+1, ..., e.  Every level and every difference step is one
+    # contiguous row of the (n+1, N) buffer; only it and O(N) scratch
+    # are live.
+    cols = np.empty((n + 1, count))
     last = np.arange(e + 1, dtype=np.int64)
     for t in range(n):
         if t:
@@ -99,12 +105,12 @@ def enumerate_rows(n, e, cap=ROW_CAP):
             del shift
         tail = n - 1 - t
         completions = np.array([math.comb(v + tail, tail) for v in range(e + 1)])
-        rows[:, n - t] = np.repeat(last, completions[e - last])
+        cols[n - t] = np.repeat(last, completions[e - last])
     # suffix sums to entries, left to right so each step reads an unchanged s
-    rows[:, 0] = e - rows[:, 1]
+    np.subtract(e, cols[1], out=cols[0])
     for j in range(1, n):
-        rows[:, j] -= rows[:, j + 1]
-    return rows
+        cols[j] -= cols[j + 1]
+    return cols.T
 
 
 @lru_cache(maxsize=None)
@@ -199,7 +205,8 @@ def build_lp(n, e, p):
     """Assemble the LP for blocklength n, bin size e, crossover p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    # the candidate rows are held once, as the columns of A
+    # the candidate rows are held once, as the columns of A: the row-major
+    # (n+1, N) buffer they were enumerated into, which pricing streams
     A = enumerate_rows(n, e).T
     f = objective_coefficients(A.T, channel_weights(p, n))
     b = np.array([math.comb(n, j) for j in range(n + 1)], dtype=float)
@@ -216,6 +223,8 @@ def _pivot_loop(A, b, c, basis):
     pricing.  Ties in the ratio test leave on the smallest basic column.
     """
     degenerate = fallbacks = 0
+    # the reduced costs c - yA, priced into one buffer for the whole solve
+    rc = np.empty(A.shape[1])
     for pivots in range(_MAX_PIVOTS):
         B = A[:, basis]
         try:
@@ -223,7 +232,8 @@ def _pivot_loop(A, b, c, basis):
             y = np.linalg.solve(B.T, c[basis])
         except np.linalg.LinAlgError:
             raise SimplexError("singular working basis")
-        rc = c - y @ A
+        np.matmul(y, A, out=rc)
+        np.subtract(c, rc, out=rc)
         basic = rc[basis]
         rc[basis] = 0.0
         enter = int(np.argmax(rc))
@@ -231,7 +241,7 @@ def _pivot_loop(A, b, c, basis):
             # the basic entries were zeroed, so rc[enter] >= 0
             return xb, y, max(float(rc[enter]), float(basic.max())), pivots, fallbacks
         if degenerate >= _DEGENERATE_RUN:
-            enter = int(np.flatnonzero(rc > PRICE_TOL)[0])
+            enter = int(np.argmax(rc > PRICE_TOL))
         d = np.linalg.solve(B, A[:, enter])
         pos = np.nonzero(d > TOL)[0]
         if pos.size == 0:

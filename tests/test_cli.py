@@ -99,6 +99,16 @@ def test_limit_row_cap_exit_code(capsys):
     assert "exceeds cap" in err
 
 
+def test_compare_hits_the_row_cap_before_it_samples(capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the LP row cap was checked")
+
+    monkeypatch.setattr(baselines, "_sample_blocks", no_sampling)
+    code, _, err = run(capsys, ["compare", "--form", "4,8", "--p", "0.1"])
+    assert code == 3
+    assert "exceeds cap" in err
+
+
 def test_csv_reruns_are_byte_identical(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,56 @@ def test_build_lp_holds_the_rows_once():
         tracemalloc.stop()
     assert inst.A.shape == (6, 20349) and inst.A.dtype == np.float64
     assert peak <= 1.8 * inst.A.nbytes, (peak, inst.A.nbytes)
+
+
+def test_build_lp_holds_a_row_major_matrix():
+    """A is the C-contiguous (n+1, N) buffer the rows were enumerated into."""
+    inst = build_lp(5, 16, 0.2)
+    assert inst.A.flags.c_contiguous
+    assert enumerate_rows(5, 16).T.flags.c_contiguous
+
+
+def test_solve_prices_into_one_buffer():
+    """From the pure-row start at (4,1), p = 0.2, the traced peak of solve_lp
+    stays below 1.5 N-length float arrays: the reduced costs of every pivot
+    share one buffer."""
+    inst = build_lp(5, 16, 0.2)
+    solve_lp(inst)  # first-call allocations are not the point
+    tracemalloc.start()
+    try:
+        sol = solve_lp(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = inst.A.shape[1] * 8
+    assert sol.pivots_phase2 > 0
+    assert peak < 1.5 * size, (peak / size)
+
+
+def test_objective_holds_one_buffer_beside_the_masses():
+    """After a warm-up call, the (4,1) objective peaks below 2.5 N-length
+    float arrays: the masses P and -P log2 P in one buffer beside them."""
+    inst = build_lp(5, 16, 0.2)
+    gamma = channel_weights(0.2, 5)
+    objective_coefficients(inst.A.T, gamma)
+    tracemalloc.start()
+    try:
+        f = objective_coefficients(inst.A.T, gamma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = inst.A.shape[1] * 8
+    assert np.array_equal(f, inst.f)
+    assert peak < 2.5 * size, (peak / size)
+
+
+def test_objective_is_zero_at_zero_mass_without_a_warning():
+    # at p = 0 the mass of row r is r[0], so many rows have P = 0
+    inst = build_lp(5, 16, 0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = objective_coefficients(inst.A.T, channel_weights(0.0, 5))
+    assert f.tolist() == [-v * math.log2(v) if v else 0.0 for v in inst.A[0].tolist()]
 
 
 def test_objective_uniform_at_half():
