@@ -9,11 +9,12 @@ samples are drawn serially or in parallel.
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
 from .bitcore import CodeTable
-from .equivocation import _CHUNK_CELLS, _block_bits, _coset_mask, _weight_rows, equivocation_curve
+from .equivocation import ensemble_bits, equivocation_curve
 from .lp_limit import lp_limit_curve
 from .ni_code import standard_table
 
@@ -23,8 +24,8 @@ DEFAULT_SAMPLES = 10_000
 
 
 def _block_size(n):
-    # tables per block: one full-route kernel call of about _CHUNK_CELLS cells
-    return max(1, _CHUNK_CELLS >> 2 * n)
+    # tables per sampled or enumerated block: about 2**16 words
+    return max(1, (1 << 16) >> n)
 
 
 def _sample_blocks(l, k, seed, count):
@@ -32,12 +33,16 @@ def _sample_blocks(l, k, seed, count):
 
     One philox4x64 generator is re-keyed to (seed, i) for sample i: the
     state of Philox(key=[seed, i]), whose counter and buffer start empty,
-    so the streams are those of a fresh generator per sample.  The first
-    construction converts the seed exactly as every such key does.
+    so the streams are those of a fresh generator per sample.  The seed
+    is the first key word, taken modulo 2**64 as an exact uint64; seeds
+    outside [-2**63, 2**64) raise ValueError before any table is drawn.
     """
+    seed = operator.index(seed)
+    if not -(1 << 63) <= seed < 1 << 64:
+        raise ValueError("seed must lie in [-2**63, 2**64), got %d" % seed)
     n = l + k
     size = _block_size(n)
-    bits = np.random.Philox(key=[seed, 0])
+    bits = np.random.Philox(key=np.array([seed % (1 << 64), 0], dtype=np.uint64))
     rng = np.random.Generator(bits)
     state = bits.state
     for start in range(0, count, size):
@@ -145,33 +150,17 @@ def compare_form(l, k, p_grid, samples=DEFAULT_SAMPLES, seed=0, exhaustive=False
     if not exhaustive and samples < 1:
         raise ValueError("samples must be >= 1")
     grid = [float(p) for p in p_grid]
-    gammas = _weight_rows(grid, n)
     # the LP first: a form past its row cap fails before any sampling
     limits = lp_limit_curve(l, k, grid)
     ni = equivocation_curve(standard_table(l, k), grid).bits / n
-    # the baseline streams through in blocks, each certified once and
-    # priced by _block_bits, whose grid slabs of rates fold into running
-    # max, sum and min vectors (the sum in extended precision where the
-    # platform has it), so memory does not grow with samples or the grid
-    top, bottom = np.full(len(grid), -np.inf), np.full(len(grid), np.inf)
-    total = np.zeros(len(grid), dtype=np.longdouble)
-    routes = {"coset": 0, "full": 0}
-    for block in _baseline_blocks(l, k, samples, seed, exhaustive):
-        coset = _coset_mask(block)
-        routes["coset"] += int(coset.sum())
-        routes["full"] += int((~coset).sum())
-        for j, bits in _block_bits(block, coset, gammas):
-            rates = bits / n
-            span = slice(j, j + len(rates))
-            np.maximum(top[span], rates.max(axis=1), out=top[span])
-            np.minimum(bottom[span], rates.min(axis=1), out=bottom[span])
-            total[span] += rates.sum(axis=1, dtype=np.longdouble)
+    # the baseline streams through in blocks, folded as it goes
+    top, total, bottom, routes = ensemble_bits(_baseline_blocks(l, k, samples, seed, exhaustive), n, grid)
     count = routes["coset"] + routes["full"]
     rows = [
         {"p": p, "ni_rate": float(ni_p), "lp_limit": float(limit),
          "inf_limit": infinite_blocklength_limit(p, k / n), "rand_max": float(hi),
-         "rand_mean": float(sum_p / count), "rand_min": float(lo)}
-        for p, ni_p, limit, hi, sum_p, lo in zip(grid, ni, limits.rates, top, total, bottom)
+         "rand_mean": float(mean), "rand_min": float(lo)}
+        for p, ni_p, limit, hi, mean, lo in zip(grid, ni, limits.rates, top / n, total / n / count, bottom / n)
     ]
     return {
         "form": (l, k),

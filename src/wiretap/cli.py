@@ -29,6 +29,10 @@ CSV_SCHEMA = "#schema=1"
 GRID_POINTS_CAP = 100_000
 SAMPLES_CAP = 100_000
 
+# most decimal digits of a count that `counts` prints exactly: Python's
+# default limit on converting an int to text; past it exit 3
+COUNT_DIGITS_CAP = 4300
+
 
 class UsageError(Exception):
     pass
@@ -195,9 +199,26 @@ def cmd_compare(args):
     return _emit(args, header, rows, meta)
 
 
+def _approx(count):
+    # "%.2e" of a positive integer, rounded half to even from its exact value
+    exp = len(str(count)) - 1
+    lead, rest = divmod(100 * count, 10 ** exp)
+    lead += 2 * rest + (lead & 1) > 10 ** exp
+    if lead == 1000:
+        lead, exp = 100, exp + 1
+    return "%d.%02de%+03d" % (lead // 100, lead % 100, exp)
+
+
 def cmd_counts(args):
     l, k = parse_form(args.form)
     n, e = l + k, 1 << l
+    # binning_code_count(l, k) is (e m)! / (e!**m m!) for m = 2**k bins of
+    # e words: its size comes from log-gamma before any product is taken
+    m = 1 << k
+    log10 = (math.lgamma(e * m + 1) - m * math.lgamma(e + 1) - math.lgamma(m + 1)) / math.log(10)
+    if log10 >= COUNT_DIGITS_CAP:
+        raise bitcore.CapExceeded("binning code count of form (%d,%d) has %d decimal digits, past the cap of %d"
+                                  % (l, k, int(log10) + 1, COUNT_DIGITS_CAP))
     candidates = lp_limit.appendix_count(n, e)
     direct = math.comb(e + n, e)
     codes = baselines.binning_code_count(l, k)
@@ -205,7 +226,7 @@ def cmd_counts(args):
     lines = [
         "form (%d,%d): n=%d e=%d" % (l, k, n, e),
         "candidate rows N = %d (stars-and-bars C(e+n, e) = %d)" % (candidates, direct),
-        "binning codes (bins unordered) = %d (approx %.2e)" % (codes, codes),
+        "binning codes (bins unordered) = %d (approx %s)" % (codes, _approx(codes)),
     ]
     if paths is not None:
         lines.append("recursion paths from form (1,1) = %d" % paths)

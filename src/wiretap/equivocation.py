@@ -18,8 +18,8 @@ for a slab of grid points at once, as the LP prices its candidate rows
 matrix-vector product of those counts with the point's prices (the
 method of types).  For a coset table (is_coset_table) every observation
 has the conditional entropy of z = 0, so z = 0 alone gives the exact
-average; _block_bits, which every curve and compare go through, holds
-that rule.  Nothing is sampled.
+average; _block_bits, which every curve and ensemble_bits go through,
+holds that rule.  Nothing is sampled.
 """
 
 from typing import NamedTuple
@@ -156,48 +156,37 @@ def _types(block, zs):
     return rows.astype(float), counts.reshape(len(block), len(rows)).astype(float)
 
 
-def _entropy_sums(block, count, gammas):
-    """Grid slabs (j, sums) of a block of valid tables: sums[i, b] is the
-    entropy of table b at weight row j + i of gammas, summed over the
-    observations 0..count-1.
-
-    Observations go to _types in chunks of about _CHUNK_CELLS cells.  A
-    chunk's distinct profiles are priced for a slab of weight rows in one
-    objective_coefficients call, and each point's table sums are one
-    counts @ f[i].  A slab holds grid rows x max(tables, profiles) values,
-    about _CHUNK_CELLS >> 4, or a single grid row.  With several chunks
-    (a block whose full route passes _CHUNK_CELLS, in practice one wide
-    table) every chunk adds its slabs into sums held over the whole grid,
-    and the last chunk yields them.
-    """
-    step = max(1, _CHUNK_CELLS // block.size)
-    starts = range(0, count if len(gammas) else 0, step)
-    held = np.zeros((len(gammas), len(block))) if len(starts) > 1 else None
-    for start in starts:
-        rows, counts = _types(block, np.arange(start, min(start + step, count), dtype=np.uint32))
-        size = max(1, (_CHUNK_CELLS >> 4) // max(len(block), len(rows)))
-        for j in range(0, len(gammas), size):
-            sums = np.array([counts @ f for f in objective_coefficients(rows, gammas[j : j + size])])
-            if held is not None:
-                held[j : j + size] += sums
-                sums = held[j : j + size]
-            if start == starts[-1]:
-                yield j, sums
-
-
 def _block_bits(block, coset, gammas):
-    """Grid slabs (j, bits) of a (B, 2**k, 2**l) block of valid tables: the
-    route rule.  Tables flagged in the boolean `coset` are priced at z = 0
-    alone (exact for a coset table, is_coset_table), the rest over all
-    2**n observations.  Each route with members yields the slabs of one
-    _entropy_sums, coset route first: bits[i] holds the equivocations in
-    bits of that route's tables, in block order, at weight row j + i."""
+    """Grid slabs (j, bits) of a (B, 2**k, 2**l) block of valid tables, the
+    route rule: tables flagged in the boolean `coset` are priced at z = 0
+    alone (exact, is_coset_table), the rest over all 2**n observations,
+    coset route first; bits[i] holds a route's equivocations in bits, in
+    block order, at weight row j + i.  A route's observations go to _types
+    in chunks of about _CHUNK_CELLS cells; a chunk's profiles are priced
+    for a slab of grid rows x max(tables, profiles) values, about
+    _CHUNK_CELLS >> 4, or one grid row, and each point's table sums are
+    one counts @ f[i].  Several chunks (one wide table) add their slabs
+    into sums held over the grid, which the last chunk yields.
+    """
     n = (block.shape[1] * block.shape[2]).bit_length() - 1
     for members, count in ((coset, 1), (~coset, 1 << n)):
-        if members.any():
-            # a route that takes the whole block reads it uncopied
-            for j, sums in _entropy_sums(block if members.all() else block[members], count, gammas):
-                yield j, sums / count
+        if not members.any():
+            continue
+        # a route that takes the whole block reads it uncopied
+        tables = block if members.all() else block[members]
+        step = max(1, _CHUNK_CELLS // tables.size)
+        starts = range(0, count if len(gammas) else 0, step)
+        held = np.zeros((len(gammas), len(tables))) if len(starts) > 1 else None
+        for start in starts:
+            rows, counts = _types(tables, np.arange(start, min(start + step, count), dtype=np.uint32))
+            size = max(1, (_CHUNK_CELLS >> 4) // max(len(tables), len(rows)))
+            for j in range(0, len(gammas), size):
+                sums = np.array([counts @ f for f in objective_coefficients(rows, gammas[j : j + size])])
+                if held is not None:
+                    held[j : j + size] += sums
+                    sums = held[j : j + size]
+                if start == starts[-1]:
+                    yield j, sums / count
 
 
 def _coset_mask(block):
@@ -268,6 +257,33 @@ def equivocation_curve(t, grid):
     for j, h in _block_bits(t.array[None], coset, gammas):
         bits[j : j + len(h)] = h[:, 0]
     return EquivocationCurve(bits, "coset" if coset[0] else "full")
+
+
+def ensemble_bits(blocks, n, grid):
+    """Per grid point (top, total, bottom, routes) over every table of
+    `blocks`, an iterable of (B, 2**k, 2**l) word arrays of valid tables of
+    blocklength n: the max, the sum (extended precision where the platform
+    has it) and the min of their equivocations in bits, and how many took
+    each route.  A block is cut, uncopied, into views of max(1,
+    _CHUNK_CELLS >> 2n) tables, one kernel chunk each, certified once and
+    priced by _block_bits; memory grows with neither blocks nor the grid.
+    """
+    gammas = _weight_rows(grid, n)
+    top, bottom = np.full(len(gammas), -np.inf), np.full(len(gammas), np.inf)
+    total = np.zeros(len(gammas), dtype=np.longdouble)
+    routes = {"coset": 0, "full": 0}
+    size = max(1, _CHUNK_CELLS >> 2 * n)
+    for block in blocks:
+        for view in np.split(block, range(size, len(block), size)):
+            coset = _coset_mask(view)
+            routes["coset"] += int(coset.sum())
+            routes["full"] += int((~coset).sum())
+            for j, bits in _block_bits(view, coset, gammas):
+                span = slice(j, j + len(bits))
+                np.maximum(top[span], bits.max(axis=1), out=top[span])
+                np.minimum(bottom[span], bits.min(axis=1), out=bottom[span])
+                total[span] += bits.sum(axis=1, dtype=np.longdouble)
+    return top, total, bottom, routes
 
 
 def total_equivocation(t, p):

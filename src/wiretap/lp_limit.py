@@ -42,7 +42,6 @@ pricing pass that ends the solve.
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -113,20 +112,17 @@ def enumerate_rows(n, e, cap=ROW_CAP):
     return cols.T
 
 
-@lru_cache(maxsize=None)
 def _nested(colors, rem):
-    # "fill rem identical slots from `colors` colors, none mandatory":
-    # first layer picks j colors that appear at least once, then the
-    # remaining rem - j slots reduce to the same problem with j colors.
-    # An empty-range sum (rem = 0) counts as 1.
-    if rem == 0:
-        return 1
-    total = 0
-    for j in range(1, rem + 1):
-        c = math.comb(colors, j)
-        if c:
-            total += c * _nested(j, rem - j)
-    return total
+    # "fill r identical slots from c colors, none mandatory", for every
+    # c <= colors and r <= rem: the first layer picks j colors that appear
+    # at least once, then the remaining r - j slots reduce to the same
+    # problem with j colors, so table[c][r] needs only smaller r.  An
+    # empty-range sum (r = 0) counts as 1.
+    table = [[1] + [0] * rem for _ in range(colors + 1)]
+    for r in range(1, rem + 1):
+        for c in range(1, colors + 1):
+            table[c][r] = sum(math.comb(c, j) * table[j][r - j] for j in range(1, min(c, r) + 1))
+    return table
 
 
 def appendix_count(n, e):
@@ -140,7 +136,8 @@ def appendix_count(n, e):
     if n < 1 or e < 1:
         raise ValueError("need n >= 1 and e >= 1")
     delta = min(e, n + 1)
-    nested = sum(math.comb(n + 1, i) * _nested(i, e - i) for i in range(1, delta + 1))
+    table = _nested(n + 1, e)
+    nested = sum(math.comb(n + 1, i) * table[i][e - i] for i in range(1, delta + 1))
     direct = sum(math.comb(n + 1, i) * math.comb(e - 1, i - 1) for i in range(1, delta + 1))
     if nested != direct:
         raise CountMismatch("row-count formulas disagree: %d vs %d" % (nested, direct))
@@ -151,7 +148,6 @@ def appendix_count(n, e):
 class LpInstance:
     n: int
     e: int
-    p: float
     f: np.ndarray      # objective coefficients, length N
     A: np.ndarray      # (n+1, N) constraint matrix, column i = candidate row i
     b: np.ndarray      # binomial right-hand side, length n+1
@@ -210,7 +206,7 @@ def build_lp(n, e, p):
     A = enumerate_rows(n, e).T
     f = objective_coefficients(A.T, channel_weights(p, n))
     b = np.array([math.comb(n, j) for j in range(n + 1)], dtype=float)
-    return LpInstance(n=n, e=e, p=p, f=f, A=A, b=b)
+    return LpInstance(n=n, e=e, f=f, A=A, b=b)
 
 
 def _pivot_loop(A, b, c, basis):
@@ -329,7 +325,7 @@ def lp_limit_curve(l, k, grid):
         if inst is None:
             inst = build_lp(n, e, p)
         else:
-            inst = replace(inst, p=p, f=objective_coefficients(inst.A.T, channel_weights(p, n)))
+            inst = replace(inst, f=objective_coefficients(inst.A.T, channel_weights(p, n)))
         sol = solve_lp(inst, basis)
         basis = sol.basis
         bits.append(sol.objective)

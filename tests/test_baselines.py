@@ -190,16 +190,19 @@ def test_compare_form_memory_does_not_grow_with_samples():
 
 
 def test_compare_form_folds_many_slabs_like_per_table_curves(monkeypatch):
-    """A small _CHUNK_CELLS splits each block of 64 (3,2) tables into several kernel
-    chunks and a 1,001-point grid into many slabs, none past its value budget; max,
-    mean and min still equal those of per-table equivocation_curve."""
+    """A small _CHUNK_CELLS cuts the sampled blocks of (3,2) tables into kernel views
+    of 16 tables, one chunk each, and a 1,001-point grid into many slabs, none past
+    its value budget; max, mean and min still equal those of per-table
+    equivocation_curve."""
     grid = [float(p) for p in np.linspace(0.0, 0.5, 1001)]
     rates = np.array([equivocation_curve(t, grid).bits / 5 for t in sample_binning(3, 2, 11, count=300)])
     kernel, price = equivocation._types, equivocation.objective_coefficients
-    widths, slabs = [], []
+    tables, widths, slabs = [], [], []
 
     def spy_kernel(block, zs):
+        assert block.size * len(zs) <= equivocation._CHUNK_CELLS
         rows, counts = kernel(block, zs)
+        tables.append(len(block))
         widths.append(max(len(block), len(rows)))
         return rows, counts
 
@@ -214,8 +217,9 @@ def test_compare_form_folds_many_slabs_like_per_table_curves(monkeypatch):
     monkeypatch.setattr(equivocation, "objective_coefficients", spy_price)
     record = compare_form(3, 2, grid, samples=300, seed=11)
     assert record["samples"] == 300 and record["routes"] == {"coset": 0, "full": 300}
-    # 5 blocks (64 tables, the last 44), each in 4 chunks of 8 observations
-    assert len(widths) == 5 * 4
+    # the family's coset table at z = 0, then 19 views (16 tables, the last 12),
+    # each one chunk of all 32 observations
+    assert tables == [1] + [16] * 18 + [12]
     assert sum(slabs) == len(widths) * len(grid) and len(slabs) > 10 * len(widths)
     for row, hi, mean, lo in zip(record["rows"], rates.max(0), rates.mean(0), rates.min(0)):
         assert abs(row["rand_max"] - hi) <= 1e-12
@@ -234,6 +238,38 @@ def test_sampler_streams_equal_a_fresh_philox_generator_per_sample(monkeypatch):
             for i in (0, 1, 2, 4, 5, 37, 255, 256, 299):
                 rng = np.random.Generator(np.random.Philox(key=[seed, i]))
                 assert samples[i].array.tolist() == rng.permutation(1 << n).reshape(1 << k, 1 << l).tolist()
+
+
+def test_sampler_keys_seeds_past_2_63_exactly():
+    """Seeds in [2**63, 2**64) are their own uint64 key word, not a float-rounded one."""
+    for l, k in ((2, 2), (1, 2)):
+        n = l + k
+        for seed, other in ((2**63 + 1, 2**63), (2**64 - 1, 0)):
+            samples = list(sample_binning(l, k, seed, count=6))
+            others = list(sample_binning(l, k, other, count=6))
+            for i, t in enumerate(samples):
+                rng = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
+                assert t.array.tolist() == rng.permutation(1 << n).reshape(1 << k, 1 << l).tolist()
+            assert any(not tables_equal_ordered(a, b) for a, b in zip(samples, others))
+    # numpy integers key as the Python integers they equal
+    for seed in (np.int64(-3), np.uint64(2**64 - 1)):
+        assert tables_equal_ordered(next(sample_binning(2, 2, seed)), next(sample_binning(2, 2, int(seed))))
+
+
+def test_seeds_outside_the_key_range_raise_before_sampling():
+    for seed in (2**64, -(2**63) - 1, 10**30):
+        with pytest.raises(ValueError, match="seed"):
+            next(sample_binning(2, 2, seed))
+        with pytest.raises(ValueError, match="seed"):
+            compare_form(2, 2, [0.1], samples=5, seed=seed)
+    # both ends of the range are kept
+    next(sample_binning(2, 2, -(2**63)))
+    next(sample_binning(2, 2, 2**64 - 1))
+
+
+def test_compare_form_needs_a_sample():
+    with pytest.raises(ValueError):
+        compare_form(2, 2, [0.1], samples=0)
 
 
 def test_compare_form_folds_blocks_like_per_table_curves(monkeypatch):

@@ -1,4 +1,6 @@
 import json
+import math
+import time
 
 import pytest
 
@@ -321,6 +323,37 @@ def test_counts_more_forms(capsys):
     assert code == 0 and "3.01e+08" in out
 
 
+def test_counts_of_huge_codes_print_exactly(capsys):
+    """Counts past float range and forms of 512 or more words per bin exit 0, with
+    the exact count and an approximation whose exponent is its digit count - 1."""
+    for form in ("2,6", "1,10", "9,1", "12,1"):
+        l, k = map(int, form.split(","))
+        n, e = l + k, 1 << l
+        code, out, err = run(capsys, ["counts", "--form", form])
+        assert (code, err) == (0, "")
+        codes = baselines.binning_code_count(l, k)
+        assert "candidate rows N = %d (" % math.comb(e + n, e) in out
+        assert "binning codes (bins unordered) = %d (approx " % codes in out
+        lead, exp = out.split("(approx ")[1].split(")")[0].split("e")
+        assert int(exp) == len(str(codes)) - 1
+        # three significant digits, within half a unit of the last
+        unit = 10 ** (int(exp) - 2)
+        assert 2 * abs(codes - int(lead.replace(".", "")) * unit) <= unit
+        code, out, _ = run(capsys, ["counts", "--form", form, "--format", "json"])
+        assert code == 0 and json.loads(out)["binning_codes"] == codes
+
+
+def test_counts_past_the_digit_cap_exit_3_at_once(capsys):
+    for form in ("4,8", "13,1", "8,16"):
+        for fmt in ("text", "json"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, ["counts", "--form", form, "--format", fmt])
+            assert time.perf_counter() - start < 1.0
+            assert (code, out) == (3, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "cap of %d" % cli.COUNT_DIGITS_CAP in err
+
+
 def test_counts_json_and_zero_overhead(tmp_path, capsys):
     out = tmp_path / "counts.json"
     code, _, _ = run(capsys, ["counts", "--form", "0,2", "--format", "json", "--out", str(out)])
@@ -338,6 +371,30 @@ def test_usage_errors(capsys):
     assert run(capsys, ["limit", "--form", "1,2", "--p", "1.5"])[0] == 1
     assert run(capsys, ["nonsense"])[0] == 1
     assert run(capsys, [])[0] == 1
+    # form and grid text that does not parse: one message on stderr
+    for argv in (["limit", "--form", "1,x"], ["limit", "--form", "0,25"],
+                 ["limit", "--form", "1,2", "--p-grid", "0:0.5"],
+                 ["limit", "--form", "1,2", "--p-grid", "a:b:3"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_compare_warns_when_a_baseline_beats_the_family(capsys, monkeypatch):
+    # a sampled table in place of the family's: some sample scores above it
+    table = next(baselines.sample_binning(3, 2, seed=1))
+    monkeypatch.setattr(baselines, "standard_table", lambda l, k: table)
+    code, out, err = run(capsys, ["compare", "--form", "3,2", "--samples", "200", "--p", "0.1"])
+    assert code == 0 and out
+    assert err.startswith("WARNING: baseline exceeds the family rate at p = [0.1]")
+
+
+def test_compare_seeds_outside_the_key_range_exit_2(capsys):
+    for seed in (2**64, -(2**63) - 1):
+        code, out, err = run(capsys, ["compare", "--form", "2,2", "--samples", "5", "--p", "0.1", "--seed", str(seed)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: seed must lie in") and err.count("\n") == 1
+    assert run(capsys, ["compare", "--form", "2,2", "--samples", "5", "--p", "0.1", "--seed", str(2**64 - 1)])[0] == 0
 
 
 def test_help_exits_clean(capsys):

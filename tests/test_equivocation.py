@@ -16,6 +16,7 @@ from wiretap.equivocation import (
     channel_weights,
     conditional_equivocation,
     distance_profile,
+    ensemble_bits,
     equivocation_curve,
     equivocation_rate,
     is_coset_table,
@@ -386,6 +387,38 @@ def test_ungrouped_profiles_match_the_oracle_in_one_chunk_and_in_many(monkeypatc
     wide = standard_table(4, 12)
     want = [conditional_equivocation(wide, 0, p) for p in grid]
     assert np.allclose(equivocation_curve(wide, grid).bits, want, rtol=0, atol=1e-12)
+
+
+def test_ensemble_bits_folds_uncopied_kernel_views_of_every_block(monkeypatch):
+    """ensemble_bits cuts each block, uncopied, into views of max(1, _CHUNK_CELLS >> 2n)
+    tables, certifies each view once, and returns the max, sum and min in bits and the
+    route counts of per-table equivocation_curve, also over views that mix routes."""
+    grid = [0.0, 0.07, 0.25, 0.41, 0.5]
+    tables = list(enumerate_binnings(2, 1))
+    bits = np.array([equivocation_curve(t, grid).bits for t in tables])
+    routes = [equivocation_curve(t, [0.1]).route for t in tables]
+    blocks = [np.stack([t.array for t in tables[:50]]), np.stack([t.array for t in tables[50:]])]
+    mask, views = equivocation._coset_mask, []
+
+    def spy_mask(view):
+        views.append(view)
+        return mask(view)
+
+    # 2**10 cells make views of 2**10 >> 6 = 16 tables
+    monkeypatch.setattr(equivocation, "_CHUNK_CELLS", 1 << 10)
+    monkeypatch.setattr(equivocation, "_coset_mask", spy_mask)
+    top, total, bottom, counted = ensemble_bits(iter(blocks), 3, grid)
+    assert [len(v) for v in views] == [16, 16, 16, 2, 16, 4]
+    assert all(v.base is not None and any(np.shares_memory(v, b) for b in blocks) for v in views)
+    assert {"coset", "full"} in [set(routes[i : i + 16]) for i in range(0, 48, 16)]
+    assert counted == {"coset": routes.count("coset"), "full": routes.count("full")}
+    assert total.dtype == np.longdouble and len(top) == len(total) == len(bottom) == len(grid)
+    assert np.allclose(top, bits.max(0), rtol=0, atol=1e-12)
+    assert np.allclose(total.astype(float), bits.sum(0), rtol=0, atol=1e-10)
+    assert np.allclose(bottom, bits.min(0), rtol=0, atol=1e-12)
+    # an empty ensemble folds to nothing
+    top, total, bottom, counted = ensemble_bits([], 3, grid)
+    assert counted == {"coset": 0, "full": 0} and np.all(top == -np.inf) and np.all(total == 0)
 
 
 def test_certificate_gathers_in_chunks_of_bins(monkeypatch):

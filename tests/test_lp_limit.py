@@ -85,6 +85,8 @@ def test_appendix_count_identities():
             assert appendix_count(n, e) == math.comb(e + n, e)
     assert appendix_count(2, 2) == 6
     assert appendix_count(5, 2) == 21
+    # the nested sums run about e deep: tabled bottom-up, not recursed
+    assert appendix_count(13, 4096) == math.comb(4109, 4096)
 
 
 def test_build_lp_shapes_and_rhs():
@@ -291,6 +293,15 @@ def test_appendix_count_domain():
         enumerate_rows(2, 0)
 
 
+def test_lp_entry_points_reject_bad_arguments():
+    with pytest.raises(ValueError):
+        build_lp(3, 2, 1.5)
+    with pytest.raises(ValueError):
+        lp_limit_curve(-1, 2, [0.1])
+    with pytest.raises(ValueError):
+        optimal_rows_l1(0)
+
+
 FOUR_FORMS = ((1, 4), (2, 3), (3, 2), (4, 1))
 
 
@@ -389,12 +400,12 @@ def test_solve_lp_needs_the_pure_rows():
     inst = build_lp(3, 2, 0.2)
     want = solve_lp(inst).objective
     # the same columns in reverse order: the LP is unchanged, the start is gone
-    flipped = LpInstance(n=3, e=2, p=0.2, f=inst.f[::-1], A=inst.A[:, ::-1], b=inst.b)
+    flipped = LpInstance(n=3, e=2, f=inst.f[::-1], A=inst.A[:, ::-1], b=inst.b)
     with pytest.raises(SimplexError):
         solve_lp(flipped)
     assert abs(solve_lp(flipped, [len(inst.f) - 1 - i for i in solve_lp(inst).basis]).objective - want) < 1e-12
     # too few columns to hold the last pure row
-    short = LpInstance(n=3, e=2, p=0.2, f=inst.f[:5], A=inst.A[:, :5], b=inst.b)
+    short = LpInstance(n=3, e=2, f=inst.f[:5], A=inst.A[:, :5], b=inst.b)
     with pytest.raises(SimplexError):
         solve_lp(short)
 

@@ -3,6 +3,8 @@ import itertools
 import pytest
 
 from wiretap.bitcore import (
+    N_CAP,
+    CapExceeded,
     CodeTable,
     partition_of,
     tables_equal_ordered,
@@ -279,6 +281,17 @@ def test_standard_table_domain():
         standard_table(1, 0)
     with pytest.raises(ValueError):
         standard_table(-1, 2)
+
+
+def test_constructions_stop_at_the_blocklength_cap():
+    with pytest.raises(CapExceeded):
+        standard_table(1, N_CAP)
+    with pytest.raises(CapExceeded):
+        closed_form_table(1, N_CAP)
+    widest = standard_table(8, N_CAP - 8)
+    for grow in (rasba, rahba):
+        with pytest.raises(CapExceeded):
+            grow(widest)
 
 
 def rasba_lists(bins):
