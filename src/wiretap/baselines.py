@@ -102,6 +102,8 @@ def binning_code_count(l, k):
     ordered count is this times (2**k)!.
     """
     e = 1 << l
+    if e == 1:
+        return 1  # bins of one word: every factor is C(i - 1, 0) = 1
     out = 1
     for i in range(1, (1 << k) + 1):
         out *= math.comb(e * i - 1, e - 1)

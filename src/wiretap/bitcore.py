@@ -287,22 +287,25 @@ def _parse_canonical(text):
     step = max(1, _FORMAT_BYTES // row)
     for start in range(0, 1 << k, step):
         at = end + 1 + start * row
-        cells = np.frombuffer(text[at : at + step * row].encode("ascii"), dtype=np.uint8)
-        cells = cells.reshape(-1, 1 << l, n + 1)
-        gaps = cells[..., n]
+        # the characters less "0", so that "0" and "1" read as bits; the
+        # block's bytes are freed as soon as they are read
+        bits = np.frombuffer(text[at : at + step * row].encode("ascii"), dtype=np.uint8) - np.uint8(ord("0"))
+        bits = bits.reshape(-1, 1 << l, n + 1)
+        gaps = bits[..., n] + np.uint8(ord("0"))
         if (gaps[:, :-1] != ord(" ")).any() or (gaps[:, -1] != ord("\n")).any():
             return None
         # one bit per character with the gaps read as 0: a stream of (n + 1)-bit cells
-        bits = cells - np.uint8(ord("0"))
         bits[..., n] = 0
         if bits.max() > 1:
             return None
         stream = np.concatenate((np.packbits(bits), np.zeros(3, dtype=np.uint8)))
-        # each cell's n bits lead the big-endian 32 bits read from its first byte on
-        first = np.arange(0, bits.size, n + 1, dtype=np.uint32)
-        quads = np.ndarray(len(stream) - 3, dtype=">u4", buffer=stream, strides=(1,))
-        out = flat[start << l : (start << l) + len(first)]
-        np.left_shift(quads[first >> 3], first & 7, out=out)
+        # cell j's n bits lead the big-endian 32 bits read from byte j (n + 1) >> 3
+        # on, shifted left by j (n + 1) & 7; both repeat every 8 cells, n + 1 bytes on
+        out = flat[start << l : (start << l) + bits.size // (n + 1)]
+        for r in range(min(8, len(out))):
+            every = out[r::8]
+            quads = np.ndarray(len(every), dtype=">u4", buffer=stream, offset=r * (n + 1) >> 3, strides=(n + 1,))
+            np.left_shift(quads, r * (n + 1) & 7, out=every)
         out >>= 32 - n
     return CodeTable._adopt(l, k, words)
 

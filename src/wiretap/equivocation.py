@@ -12,16 +12,19 @@ The likelihood sum of a bin is its distance profile (how many of its
 words lie at each distance from z) times the vector of p**d * q**(n-d),
 so a bin's entropy term depends on its profile alone.  One kernel,
 _types, counts how often each distinct profile occurs in a block of
-tables over a chunk of observations; the distinct profiles are priced
-for a slab of grid points at once, as the LP prices its candidate rows
-(objective_coefficients), and each point's table sums are one
-matrix-vector product of those counts with the point's prices (the
-method of types).  For a coset table (is_coset_table) every observation
-has the conditional entropy of z = 0, so z = 0 alone gives the exact
-average; _block_bits, which every curve and ensemble_bits go through,
-holds that rule.  Nothing is sampled.
+tables over a chunk of observations, or in a slice of their bins at one
+observation; the distinct profiles are priced for a slab of grid points
+at once, as the LP prices its candidate rows (objective_coefficients),
+and each point's table sums are one matrix-vector product of those
+counts with the point's prices (the method of types).  For a coset
+table (is_coset_table) every observation has the conditional entropy of
+z = 0, so z = 0 alone gives the exact average; _block_bits, which every
+curve and ensemble_bits go through, holds that rule.  Nothing is
+sampled.  Every kernel and certificate pass holds about _CHUNK_CELLS
+distance cells beside the tables, however large 2**n is.
 """
 
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -102,54 +105,49 @@ def _entropy_terms(P):
     return out
 
 
-def _profiles(block, zs):
-    """(cells, n+1) distance profiles of a (B, 2**k, 2**l) block of tables:
-    row c counts the words of cell c's bin at each distance from its
-    observation, cells in the order (table, observation of zs, bin).  One
-    bincount per _CHUNK_CELLS distances."""
-    n = (block.shape[1] * block.shape[2]).bit_length() - 1
+def _profiles(block, zs, n):
+    """(cells, n+1) distance profiles of a (B, K, 2**l) block of bins of
+    n-bit words: row c counts the words of cell c's bin at each distance
+    from its observation, cells in the order (table, observation of zs,
+    bin).  One bincount; callers bound the block."""
     dist = np.bitwise_count(block[:, None] ^ zs[:, None, None]).reshape(-1, block.shape[2])
-    rows = np.empty((len(dist), n + 1), dtype=np.int64)
-    step = max(1, _CHUNK_CELLS // dist.shape[1])
-    for start in range(0, len(dist), step):
-        part = dist[start : start + step]
-        cells = part + np.arange(0, len(part) * (n + 1), n + 1)[:, None]
-        rows[start : start + step] = np.bincount(cells.ravel(), minlength=len(part) * (n + 1)).reshape(-1, n + 1)
-    return rows
+    cells = dist + np.arange(0, len(dist) * (n + 1), n + 1)[:, None]
+    return np.bincount(cells.ravel(), minlength=len(dist) * (n + 1)).reshape(-1, n + 1)
 
 
-def _types(block, zs):
+def _types(block, zs, n):
     """The kernel: the distinct distance profiles of a block and their counts.
 
-    Every (table, observation, bin) cell of a (B, 2**k, 2**l) block of
-    valid tables at the observations zs has a profile (_profiles), an LP
-    candidate row.  Returns `rows`, (G, n+1) floats, the distinct
-    profiles, and `counts`, (B, G) floats, how many cells of each table
-    have each one.  A table's entropy at p, summed over zs, is then
-    counts . f with f = objective_coefficients(rows, channel_weights(p, n))
-    (the method of types).  A profile c is grouped by its exact key
+    Every (table, observation, bin) cell of a (B, K, 2**l) block of bins
+    of n-bit words (whole tables, or a slice of their bins) at the
+    observations zs has a profile (_profiles), an LP candidate row.
+    Returns `rows`, (G, n+1) floats, the distinct profiles, and `counts`,
+    (B, G) floats, how many cells of each table have each one.  A table's
+    entropy at p, summed over zs and the block's bins, is then counts . f
+    with f = objective_coefficients(rows, channel_weights(p, n)) (the
+    method of types).  A profile c is grouped by its exact key
     sum_d c_d (2**l + 1)**d, the sum over the cell's words w of the term
     (2**l + 1)**d(w, z), so no profile is built; the terms of every word
-    at every observation of zs are tabled once for all B tables.  When a
-    key can pass 2**63 every cell is its own group.
+    at every observation are tabled once for all B tables when that
+    table holds at most _CHUNK_CELLS terms, and are computed for the
+    block's own words otherwise.  When a key can pass 2**63 every cell is
+    its own group.  Memory is a small multiple of the block's cells.
     """
-    n = (block.shape[1] * block.shape[2]).bit_length() - 1
     base = block.shape[2] + 1
     if base ** (n + 1) < 1 << 63:
         powers = base ** np.arange(n + 1, dtype=np.int64)
-        terms = powers[np.bitwise_count(np.arange(1 << n, dtype=np.uint32)[:, None] ^ zs)]
-        # each slice of bins gathers about _CHUNK_CELLS terms, a word's row
-        # at a time, and einsum sums each bin's words without a short-axis
-        # reduction per cell; keys are in cell order (table, z, bin)
-        keys = np.empty((len(block), len(zs), block.shape[1]), dtype=np.int64)
-        step = max(1, _CHUNK_CELLS // (len(block) * len(zs) * block.shape[2]))
-        for c in range(0, block.shape[1], step):
-            keys[:, :, c : c + step] = np.einsum("bkwz->bzk", terms[block[:, c : c + step]])
+        if len(zs) << n <= _CHUNK_CELLS:
+            terms = powers[np.bitwise_count(np.arange(1 << n, dtype=np.uint32)[:, None] ^ zs)][block]
+        else:
+            terms = powers[np.bitwise_count(block[..., None] ^ zs)]
+        # einsum sums each bin's words without a short-axis reduction per
+        # cell; keys are in cell order (table, z, bin)
+        keys = np.einsum("bkwz->bzk", terms).ravel()
         del terms  # freed before np.unique sorts the keys
-        keys, group = np.unique(keys.ravel(), return_inverse=True)
+        keys, group = np.unique(keys, return_inverse=True)
         rows = keys[:, None] // powers % base
     else:
-        rows = _profiles(block, zs)
+        rows = _profiles(block, zs, n)
         group = np.arange(len(rows))
     table = np.arange(len(group)) // (len(group) // len(block))
     counts = np.bincount(table * len(rows) + group, minlength=len(block) * len(rows))
@@ -161,11 +159,13 @@ def _block_bits(block, coset, gammas):
     route rule: tables flagged in the boolean `coset` are priced at z = 0
     alone (exact, is_coset_table), the rest over all 2**n observations,
     coset route first; bits[i] holds a route's equivocations in bits, in
-    block order, at weight row j + i.  A route's observations go to _types
-    in chunks of about _CHUNK_CELLS cells; a chunk's profiles are priced
-    for a slab of grid rows x max(tables, profiles) values, about
-    _CHUNK_CELLS >> 4, or one grid row, and each point's table sums are
-    one counts @ f[i].  Several chunks (one wide table) add their slabs
+    block order, at weight row j + i.  A route goes to _types in chunks
+    of about _CHUNK_CELLS cells: several observations of whole tables, or,
+    when one observation of the tables is wider, one observation of a
+    slice of their bins (one bin when a bin alone is wider).  A chunk's
+    profiles are priced for a slab of grid rows x max(tables, profiles)
+    values, about _CHUNK_CELLS >> 4, or one grid row, and each point's
+    table sums are one counts @ f[i].  Several chunks add their slabs
     into sums held over the grid, which the last chunk yields.
     """
     n = (block.shape[1] * block.shape[2]).bit_length() - 1
@@ -175,46 +175,51 @@ def _block_bits(block, coset, gammas):
         # a route that takes the whole block reads it uncopied
         tables = block if members.all() else block[members]
         step = max(1, _CHUNK_CELLS // tables.size)
+        width = max(1, _CHUNK_CELLS // (len(tables) * tables.shape[2]))
         starts = range(0, count if len(gammas) else 0, step)
-        held = np.zeros((len(gammas), len(tables))) if len(starts) > 1 else None
-        for start in starts:
-            rows, counts = _types(tables, np.arange(start, min(start + step, count), dtype=np.uint32))
+        slices = range(0, tables.shape[1], width)
+        last = len(starts) * len(slices) - 1
+        held = np.zeros((len(gammas), len(tables))) if last > 0 else None
+        for i, (start, c) in enumerate(itertools.product(starts, slices)):
+            zs = np.arange(start, min(start + step, count), dtype=np.uint32)
+            rows, counts = _types(tables[:, c : c + width], zs, n)
             size = max(1, (_CHUNK_CELLS >> 4) // max(len(tables), len(rows)))
             for j in range(0, len(gammas), size):
                 sums = np.array([counts @ f for f in objective_coefficients(rows, gammas[j : j + size])])
                 if held is not None:
                     held[j : j + size] += sums
                     sums = held[j : j + size]
-                if start == starts[-1]:
+                if i == last:
                     yield j, sums / count
+            del rows, counts  # freed before the next chunk's kernel call
+
+
+def _translates(bins):
+    # each bin of a (B, K, 2**l) array XORed by its first word, sorted
+    moved = bins ^ bins[:, :, :1]
+    moved.sort(axis=2)
+    return moved
 
 
 def _coset_mask(block):
     """Per table of a (B, 2**k, 2**l) block of valid tables: is_coset_table.
 
-    One scatter maps each word to its bin and one gather shows whether
-    XOR by its first word maps every bin into the bin S that holds 0,
-    both chunked over bins.  The GF(2) rank of S runs only for the tables
-    that pass.
+    Every bin's _translates must equal bin 0's, the set T; compared in
+    chunks of about _CHUNK_CELLS words, vectorised over tables, and
+    stopped once no table passes.  The GF(2) rank of T runs only for the
+    tables that pass.
     """
     l = block.shape[2].bit_length() - 1
     n = (block.shape[1] << l).bit_length() - 1
-    # word w of table b sits at b * 2**n + w of the flat word -> bin map
-    offsets = (np.arange(len(block), dtype=np.int64) << n)[:, None, None]
-    step = max(1, _CHUNK_CELLS // (len(block) << l))
-    chunks = [slice(start, start + step) for start in range(0, block.shape[1], step)]
-    # the smallest unsigned type that holds every bin index
-    index = np.min_scalar_type(block.shape[1] - 1)
-    bin_of = np.empty(len(block) << n, dtype=index)
-    for c in chunks:
-        bin_of[block[:, c] + offsets] = np.arange(block.shape[1], dtype=index)[c, None]
-    home = bin_of[offsets.ravel()]
+    home = _translates(block[:, :1])
     ok = np.ones(len(block), dtype=bool)
-    for c in chunks:
-        bins = block[:, c]
-        ok &= (bin_of[(bins ^ bins[:, :, :1]) + offsets] == home[:, None, None]).all(axis=(1, 2))
+    step = max(1, _CHUNK_CELLS // (len(block) << l))
+    for start in range(1, block.shape[1], step):
+        if not ok.any():
+            break
+        ok &= (_translates(block[:, start : start + step]) == home).all(axis=(1, 2))
     for b in np.flatnonzero(ok):
-        ok[b] = word_rank(block[b, home[b]], n) == l
+        ok[b] = word_rank(home[b, 0], n) == l
     return ok
 
 
@@ -222,11 +227,11 @@ def is_coset_table(t):
     """True iff the bins of t are the cosets of a subgroup of GF(2)**n.
 
     XOR by z then permutes the bins and preserves distances, so every
-    observation has the conditional entropy of z = 0.  Exact, in O(2**n):
-    one gather shows that XOR by its first word maps every bin into the
-    bin S that holds 0, so every bin is a translate of S (both have 2**l
-    words); S then is a subgroup iff its GF(2) rank is l, since it holds
-    0 and 2**l words.
+    observation has the conditional entropy of z = 0.  Exact, in O(2**n)
+    time and with no buffer of 2**n entries: every bin, XORed by its first
+    word, must be the set T that bin 0 gives (T holds 0), so every bin is
+    a translate of T; T then is a subgroup iff its GF(2) rank is l, since
+    it holds 0 and 2**l words, and the bins are its cosets.
     """
     return bool(_coset_mask(t.array[None])[0])
 
@@ -310,7 +315,10 @@ def distance_profile(t, z):
     """
     if not 0 <= z < (1 << t.n):
         raise ValueError("z does not fit in %d bits" % t.n)
-    return _profiles(t.array[None], np.array([z], dtype=np.uint32))
+    # a slice of about _CHUNK_CELLS words at a time, one bin at least
+    width = max(1, _CHUNK_CELLS >> t.l)
+    zs = np.array([z], dtype=np.uint32)
+    return np.concatenate([_profiles(t.array[None, c : c + width], zs, t.n) for c in range(0, len(t.array), width)])
 
 
 def bin_posteriors(t, z, p):

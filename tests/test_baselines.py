@@ -199,9 +199,9 @@ def test_compare_form_folds_many_slabs_like_per_table_curves(monkeypatch):
     kernel, price = equivocation._types, equivocation.objective_coefficients
     tables, widths, slabs = [], [], []
 
-    def spy_kernel(block, zs):
+    def spy_kernel(block, zs, n):
         assert block.size * len(zs) <= equivocation._CHUNK_CELLS
-        rows, counts = kernel(block, zs)
+        rows, counts = kernel(block, zs, n)
         tables.append(len(block))
         widths.append(max(len(block), len(rows)))
         return rows, counts

@@ -439,12 +439,13 @@ def test_build_memory_is_its_output_plus_the_last_input():
 def test_canonical_reader_holds_one_block_of_text_at_a_time(monkeypatch):
     t = standard_table(2, 14)
     text = format_table(t)
-    monkeypatch.setattr(bitcore, "_FORMAT_BYTES", 1 << 14)
+    monkeypatch.setattr(bitcore, "_FORMAT_BYTES", 1 << 16)
     bitcore._parse_canonical(text)
     peak = _peak_bytes(lambda: bitcore._parse_canonical(text))
-    # the words, the scatter that validates them, and a few block-sized buffers;
-    # the 1.1 MB text is never copied whole
-    assert peak <= t.array.nbytes + (1 << t.n) + 16 * bitcore._FORMAT_BYTES < len(text), peak
+    # the words, the scatter that validates them, and two block-sized buffers (the
+    # text slice and its bytes, then the bytes and the bits) with a margin; the
+    # 1.1 MB text is never copied whole
+    assert peak <= t.array.nbytes + (1 << t.n) + 3 * bitcore._FORMAT_BYTES < len(text), peak
 
 
 def _scanner_outcome(text):

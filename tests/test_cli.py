@@ -354,6 +354,15 @@ def test_counts_past_the_digit_cap_exit_3_at_once(capsys):
             assert "cap of %d" % cli.COUNT_DIGITS_CAP in err
 
 
+def test_counts_of_one_word_bins_skip_the_product(capsys):
+    """With bins of one word every factor of the count is 1: (0,24) prints 1 at once."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["counts", "--form", "0,24"])
+    assert time.perf_counter() - start < 0.5
+    assert (code, err) == (0, "")
+    assert "binning codes (bins unordered) = 1 (approx 1.00e+00)" in out
+
+
 def test_counts_json_and_zero_overhead(tmp_path, capsys):
     out = tmp_path / "counts.json"
     code, _, _ = run(capsys, ["counts", "--form", "0,2", "--format", "json", "--out", str(out)])

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -217,9 +218,9 @@ def test_linear_shortcut_checks_before_it_prices(monkeypatch):
     kernel = equivocation._types
     calls = []
 
-    def spy_kernel(block, zs):
+    def spy_kernel(block, zs, n):
         calls.append(len(zs))
-        return kernel(block, zs)
+        return kernel(block, zs, n)
 
     monkeypatch.setattr(equivocation, "_types", spy_kernel)
     for t in (make((3, 2)), next(sample_binning(2, 3, seed=5))):
@@ -304,36 +305,64 @@ def test_curve_equals_per_point_values_on_a_shuffled_grid():
         assert abs(curve.bits[0] - t.k) < 1e-12
 
 
+def _kernel_widths(monkeypatch):
+    """A list that records the bins of every kernel call from now on."""
+    kernel, widths = equivocation._types, []
+
+    def spy_kernel(block, zs, n):
+        widths.append(block.shape[1])
+        return kernel(block, zs, n)
+
+    monkeypatch.setattr(equivocation, "_types", spy_kernel)
+    return widths
+
+
 def test_curve_chunks_agree_with_one_pass(monkeypatch):
     """Splitting observations, bins and weight rows into small blocks changes nothing
-    past 1e-12; at 5 cells every bin's key terms are gathered on their own."""
+    past 1e-12 against one pass and the per-word oracle.  A coset table's z = 0 is cut
+    into slices of about _CHUNK_CELLS words, one bin at least: at 24 cells the (3,3)
+    table spans slices of 3, 3 and 2 bins and the (1,7) table eleven, and at 5 cells
+    every bin of the (3,3) tables is gathered on its own."""
     grid = [0.03, 0.2, 0.37, 0.5]
-    tables = [next(sample_binning(3, 3, seed=8)), standard_table(3, 3)]
+    tables = [next(sample_binning(3, 3, seed=8)), standard_table(3, 3), xor_translate(standard_table(1, 7), 0x5B)]
     whole = [equivocation_curve(t, grid).bits for t in tables]
+    oracle = [[sum(entropy_bits(bin_posteriors_direct(t, z, p)) for z in range(1 << t.n)) / (1 << t.n)
+               for p in grid] for t in tables]
     profile = distance_profile(tables[0], 5)
-    for cells in (100, 5):
+    widths = _kernel_widths(monkeypatch)
+    for cells in (100, 24, 5):
         monkeypatch.setattr(equivocation, "_CHUNK_CELLS", cells)
-        for t, want in zip(tables, whole):
-            assert np.allclose(equivocation_curve(t, grid).bits, want, rtol=0, atol=1e-12)
+        for t, want, exact in zip(tables, whole, oracle):
+            widths.clear()
+            curve = equivocation_curve(t, grid)
+            assert np.allclose(curve.bits, want, rtol=0, atol=1e-12)
+            assert np.allclose(curve.bits, exact, rtol=0, atol=1e-12)
+            if curve.route == "coset":
+                width = max(1, cells >> t.l)
+                assert widths == [min(width, len(t.array) - c) for c in range(0, len(t.array), width)]
         assert distance_profile(tables[0], 5).tolist() == profile.tolist()
+    assert [equivocation_curve(t, grid).route for t in tables] == ["full", "coset", "coset"]
 
 
 def test_every_gather_stays_within_the_chunk_budget(monkeypatch):
-    """Over a 1,001-point grid no kernel call exceeds max(_CHUNK_CELLS, 2**n) distance
-    cells, every observation is counted once, every call's rows are priced at every
-    grid point, in grid order, and no slab holds more than grid rows x profiles of
-    about _CHUNK_CELLS >> 4 values, or a single grid row."""
+    """Over a 1,001-point grid no kernel call exceeds _CHUNK_CELLS distance cells: it
+    takes whole tables at several observations, or one observation of a slice of
+    bins (the (2,15) table's z = 0 in two).  Every observation meets every bin once,
+    in order, every call's rows are priced at every grid point, in grid order, and
+    no slab holds more than grid rows x profiles of about _CHUNK_CELLS >> 4 values,
+    or a single grid row."""
     grid = [float(p) for p in np.linspace(0.0, 0.5, 1001)]
-    tables = [next(sample_binning(2, 5, seed=3)), next(sample_binning(2, 8, seed=3)), standard_table(2, 12)]
+    tables = [next(sample_binning(2, 5, seed=3)), next(sample_binning(2, 8, seed=3)), standard_table(2, 12),
+              standard_table(2, 15)]
     want = [equivocation_curve(t, grid).bits for t in tables]
     kernel, price, slabs = equivocation._types, equivocation.objective_coefficients, equivocation._block_bits
-    observations, priced, yielded = [], [], []
+    calls, priced, yielded = [], [], []
 
-    def spy_kernel(block, zs):
-        n = block.shape[1].bit_length() + block.shape[2].bit_length() - 2
-        assert block.size * len(zs) <= max(equivocation._CHUNK_CELLS, 1 << n)
-        observations.append(zs.tolist())
-        return kernel(block, zs)
+    def spy_kernel(block, zs, n):
+        assert block.size * len(zs) <= equivocation._CHUNK_CELLS
+        assert len(zs) == 1 or block.size == 1 << n
+        calls.append((zs.tolist(), block.shape[1]))
+        return kernel(block, zs, n)
 
     def spy_price(rows, gamma):
         # a block of one table: a slab holds len(gamma) x max(1, profiles) values
@@ -350,18 +379,24 @@ def test_every_gather_stays_within_the_chunk_budget(monkeypatch):
     monkeypatch.setattr(equivocation, "_types", spy_kernel)
     monkeypatch.setattr(equivocation, "objective_coefficients", spy_price)
     monkeypatch.setattr(equivocation, "_block_bits", spy_slabs)
-    for t, bits, route in zip(tables, want, ("full", "full", "coset")):
-        observations.clear()
+    for t, bits, route in zip(tables, want, ("full", "full", "coset", "coset")):
+        calls.clear()
         priced.clear()
         yielded.clear()
         curve = equivocation_curve(t, grid)
         assert curve.route == route
         assert curve.bits.tolist() == bits.tolist()
         count = 1 << t.n if route == "full" else 1
-        calls = -(-count // max(1, equivocation._CHUNK_CELLS >> t.n))
-        assert len(observations) == calls and (calls > 1) == ((count << t.n) > equivocation._CHUNK_CELLS)
-        assert sum(observations, []) == list(range(count))
-        assert np.array_equal(np.concatenate(priced), np.tile(equivocation._weight_rows(grid, t.n), (calls, 1)))
+        slices = -(-(1 << t.n) // equivocation._CHUNK_CELLS)
+        chunks = -(-count // max(1, equivocation._CHUNK_CELLS >> t.n)) * slices
+        assert len(calls) == chunks and (chunks > 1) == ((count << t.n) > equivocation._CHUNK_CELLS)
+        assert (slices > 1) == (t.n >= 17)
+        met = {}
+        for zs, width in calls:
+            for z in zs:
+                met[z] = met.get(z, 0) + width
+        assert list(met) == list(range(count)) and set(met.values()) == {len(t.array)}
+        assert np.array_equal(np.concatenate(priced), np.tile(equivocation._weight_rows(grid, t.n), (chunks, 1)))
         # the last chunk's slabs are yielded, in grid order, and split the grid
         assert len(yielded) > 1
         assert yielded == np.cumsum([0] + [len(g) for g in priced[-len(yielded) :]])[:-1].tolist()
@@ -370,19 +405,25 @@ def test_every_gather_stays_within_the_chunk_budget(monkeypatch):
 def test_ungrouped_profiles_match_the_oracle_in_one_chunk_and_in_many(monkeypatch):
     """Past the int64 key ((2**l + 1)**(n+1) >= 2**63) every cell is its own group:
     a random (7,1) table on the full route and a (6,4) coset table still give the
-    per-word average, also when the observations are split into many chunks."""
+    per-word average, also when the observations are split into many chunks and
+    one observation into bin slices, down to one bin where a bin alone passes the
+    budget."""
     grid = [0.0, 0.03, 0.2, 0.5]
     tables = [next(sample_binning(7, 1, seed=2)), coset_table(build_codec(6, 4))]
     for t in tables:
         assert ((1 << t.l) + 1) ** (t.n + 1) >= 1 << 63
     oracle = [[sum(entropy_bits(bin_posteriors_direct(t, z, p)) for z in range(1 << t.n)) / (1 << t.n)
                for p in grid] for t in tables]
-    for cells in (equivocation._CHUNK_CELLS, 300):
+    widths = _kernel_widths(monkeypatch)
+    # z = 0 of the (6,4) table in one slice, in slices of 4 bins, and bin by bin
+    for cells, slices in ((equivocation._CHUNK_CELLS, [16]), (300, [4] * 4), (100, [1] * 16)):
         monkeypatch.setattr(equivocation, "_CHUNK_CELLS", cells)
         for t, want, route in zip(tables, oracle, ("full", "coset")):
+            widths.clear()
             curve = equivocation_curve(t, grid)
             assert curve.route == route
             assert np.allclose(curve.bits, want, rtol=0, atol=1e-12)
+        assert widths == slices
     # at (4,12) the key of a bin holding the all-ones word would pass 2**63
     wide = standard_table(4, 12)
     want = [conditional_equivocation(wide, 0, p) for p in grid]
@@ -422,10 +463,23 @@ def test_ensemble_bits_folds_uncopied_kernel_views_of_every_block(monkeypatch):
 
 
 def test_certificate_gathers_in_chunks_of_bins(monkeypatch):
-    """Chunking the certificate's gather over bins changes no verdict."""
+    """Chunking the certificate over bins changes no verdict, also for coset tables
+    whose bin holding 0 is not bin 0 and in views that mix coset and other tables."""
     tables = [t for t in _family_and_coset_tables(8)] + list(sample_binning(2, 4, seed=3, count=50))
     tables.append(CodeTable(2, 1, [[0, 1, 2, 7], [4, 5, 6, 3]]))
+    # coset tables with 0 in a later bin: a translate, and the bins reversed; then
+    # each with one word exchanged between its first two bins, which no coset table is
+    base = standard_table(2, 4)
+    moved = [xor_translate(base, 0b100101), CodeTable(2, 4, base.array[::-1])]
+    for t in list(moved):
+        bins = t.bins
+        bins[0][-1], bins[1][0] = bins[1][0], bins[0][-1]
+        moved.append(CodeTable(2, 4, bins))
+    assert all(0 not in t.array[0] for t in moved)
+    tables += moved
     want = [is_coset_table(t) for t in tables]
+    assert want == [unit_vector_certificate(t) for t in tables]
+    assert want[-4:] == [True, True, False, False]
     same = [i for i, t in enumerate(tables) if (t.l, t.k) == (2, 4)]
     block = np.stack([tables[i].array for i in same])
     monkeypatch.setattr(equivocation, "_CHUNK_CELLS", 5)
@@ -434,6 +488,28 @@ def test_certificate_gathers_in_chunks_of_bins(monkeypatch):
     assert equivocation._coset_mask(block).tolist() == [want[i] for i in same]
     assert 0 < sum(want[i] for i in same) < len(same)
     assert 10 < sum(want) < len(want) - 10
+
+
+def _peak_bytes(call):
+    call()  # first-call allocations are not the point
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_coset_route_memory_is_a_few_chunks_at_any_blocklength():
+    """Beside the table, is_coset_table holds at most 8 and a two-point curve at most 32
+    bytes per _CHUNK_CELLS cell (0.5 and 2 MB) from n = 16 to n = 20, on the int64-key
+    path at l = 2 and past it at l = 4, where every cell is its own group: nothing of
+    size 2**n is allocated (a 2**n word -> bin map alone would be 2 MB at (4,16))."""
+    for form in ((2, 14), (2, 18), (4, 12), (4, 16)):
+        t = standard_table(*form)
+        assert (((1 << t.l) + 1) ** (t.n + 1) < 1 << 63) == (t.l == 2)
+        assert _peak_bytes(lambda: is_coset_table(t)) <= 8 * equivocation._CHUNK_CELLS
+        assert _peak_bytes(lambda: equivocation_curve(t, [0.1, 0.3])) <= 32 * equivocation._CHUNK_CELLS
 
 
 def test_curve_rejects_invalid_tables_and_crossovers():
@@ -511,7 +587,7 @@ def test_type_counts_give_the_per_word_equivocation(form, seed, p, shuffle):
     l, k = form
     n = l + k
     t = CodeTable(l, k, np.random.default_rng(seed).permutation(1 << n).reshape(1 << k, 1 << l))
-    profiles = equivocation._profiles(t.array[None], np.arange(1 << n, dtype=np.uint32)).reshape(1 << n, 1 << k, n + 1)
+    profiles = equivocation._profiles(t.array[None], np.arange(1 << n, dtype=np.uint32), n).reshape(1 << n, 1 << k, n + 1)
     assert (profiles.sum(axis=2) == 1 << l).all()
     assert (profiles.sum(axis=1) == [math.comb(n, d) for d in range(n + 1)]).all()
     grid = [p, 1.0 - p]
