@@ -13,7 +13,7 @@ import operator
 
 import numpy as np
 
-from .bitcore import CodeTable
+from .bitcore import CapExceeded, CodeTable
 from .equivocation import ensemble_bits, equivocation_curve
 from .lp_limit import lp_limit_curve
 from .ni_code import standard_table
@@ -21,6 +21,11 @@ from .ni_code import standard_table
 RNG_ALGORITHM = "philox4x64"
 
 DEFAULT_SAMPLES = 10_000
+
+# compare_form's caps: the largest baseline blocklength, and the most
+# ordered tables it (and enumerate_binnings by default) enumerates
+COMPARE_N_CAP = 12
+ENUMERATION_LIMIT = 100_000
 
 
 def _block_size(n):
@@ -69,7 +74,12 @@ def sample_binning(l, k, seed, count=1):
             yield CodeTable(l, k, words)
 
 
-def enumerate_binnings(l, k, limit=100_000):
+def ordered_table_count(l, k):
+    """Number of ordered tables of form (l, k): (2**n)! / ((2**l)!)**(2**k)."""
+    return math.factorial(1 << l + k) // math.factorial(1 << l) ** (1 << k)
+
+
+def enumerate_binnings(l, k, limit=ENUMERATION_LIMIT):
     """All ordered uniform partitions of form (l, k), for tiny spaces.
 
     Bins are filled left to right with every possible subset of the
@@ -77,7 +87,7 @@ def enumerate_binnings(l, k, limit=100_000):
     """
     n = l + k
     e = 1 << l
-    total = math.factorial(1 << n) // math.factorial(e) ** (1 << k)
+    total = ordered_table_count(l, k)
     if total > limit:
         raise ValueError("space has %d ordered tables, past limit %d" % (total, limit))
 
@@ -144,13 +154,18 @@ def compare_form(l, k, p_grid, samples=DEFAULT_SAMPLES, seed=0, exhaustive=False
     ordered table of the form instead of a random sample, which is only
     feasible for very small shapes.  The record also carries the LP's
     solver counters (`lp`) and how many baseline tables took each
-    equivocation route (`routes`).
+    equivocation route (`routes`).  CapExceeded, before the LP is built,
+    past n = COMPARE_N_CAP or, with exhaustive=True, past
+    ENUMERATION_LIMIT ordered tables.
     """
     n = l + k
-    if n > 12:
-        raise ValueError("exhaustive equivocation past n = 12 is not supported here")
+    if n > COMPARE_N_CAP:
+        raise CapExceeded("baseline blocklength %d exceeds cap %d" % (n, COMPARE_N_CAP))
     if not exhaustive and samples < 1:
         raise ValueError("samples must be >= 1")
+    if exhaustive and (total := ordered_table_count(l, k)) > ENUMERATION_LIMIT:
+        raise CapExceeded("form (%d,%d) has %d ordered tables, exhaustive baseline exceeds cap %d"
+                          % (l, k, total, ENUMERATION_LIMIT))
     grid = [float(p) for p in p_grid]
     # the LP first: a form past its row cap fails before any sampling
     limits = lp_limit_curve(l, k, grid)

@@ -16,12 +16,16 @@ tables over a chunk of observations, or in a slice of their bins at one
 observation; the distinct profiles are priced for a slab of grid points
 at once, as the LP prices its candidate rows (objective_coefficients),
 and each point's table sums are one matrix-vector product of those
-counts with the point's prices (the method of types).  For a coset
-table (is_coset_table) every observation has the conditional entropy of
-z = 0, so z = 0 alone gives the exact average; _block_bits, which every
-curve and ensemble_bits go through, holds that rule.  Nothing is
-sampled.  Every kernel and certificate pass holds about _CHUNK_CELLS
-distance cells beside the tables, however large 2**n is.
+counts with the point's prices (the method of types).  Since
+d(w, z ^ (2**n - 1)) = n - d(w, z), a bin's profile at the complement of
+z is its profile at z reversed, so the 2**n observations are priced as
+2**(n-1) complement pairs: z < 2**(n-1) is gathered and each distinct
+profile is priced as given and reversed.  For a coset table
+(is_coset_table) every observation has the conditional entropy of z = 0,
+so z = 0 alone gives the exact average; _block_bits, which every curve
+and ensemble_bits go through, holds both rules.  Nothing is sampled.
+Every kernel and certificate pass holds about _CHUNK_CELLS distance
+cells beside the tables, however large 2**n is.
 """
 
 import itertools
@@ -159,17 +163,23 @@ def _block_bits(block, coset, gammas):
     route rule: tables flagged in the boolean `coset` are priced at z = 0
     alone (exact, is_coset_table), the rest over all 2**n observations,
     coset route first; bits[i] holds a route's equivocations in bits, in
-    block order, at weight row j + i.  A route goes to _types in chunks
-    of about _CHUNK_CELLS cells: several observations of whole tables, or,
-    when one observation of the tables is wider, one observation of a
-    slice of their bins (one bin when a bin alone is wider).  A chunk's
-    profiles are priced for a slab of grid rows x max(tables, profiles)
-    values, about _CHUNK_CELLS >> 4, or one grid row, and each point's
-    table sums are one counts @ f[i].  Several chunks add their slabs
-    into sums held over the grid, which the last chunk yields.
+    block order, at weight row j + i.  The full route gathers only
+    z < 2**(n-1): a chunk's profiles `rows` are priced as they are and as
+    rows[:, ::-1], the profiles at the complements z ^ (2**n - 1), in one
+    objective_coefficients call whose weight rows are the slab's rows and
+    their reversals (rows[:, ::-1] . gamma = rows . gamma[::-1]); the two
+    entropy terms are added, and the sums are divided by 2**n.  A route
+    goes to _types in chunks of about _CHUNK_CELLS cells: several
+    observations of whole tables, or, when one observation of the tables
+    is wider, one observation of a slice of their bins (one bin when a bin
+    alone is wider).  A chunk's profiles are priced for a slab of weight
+    rows x max(tables, profiles) values, about _CHUNK_CELLS >> 4, or one
+    grid row (two weight rows on the full route), and each point's table
+    sums are one counts @ f[i].  Several chunks add their slabs into sums
+    held over the grid, which the last chunk yields.
     """
     n = (block.shape[1] * block.shape[2]).bit_length() - 1
-    for members, count in ((coset, 1), (~coset, 1 << n)):
+    for members, count, paired in ((coset, 1, False), (~coset, 1 << n - 1, True)):
         if not members.any():
             continue
         # a route that takes the whole block reads it uncopied
@@ -183,14 +193,19 @@ def _block_bits(block, coset, gammas):
         for i, (start, c) in enumerate(itertools.product(starts, slices)):
             zs = np.arange(start, min(start + step, count), dtype=np.uint32)
             rows, counts = _types(tables[:, c : c + width], zs, n)
-            size = max(1, (_CHUNK_CELLS >> 4) // max(len(tables), len(rows)))
+            # paired slabs price each grid row twice: half as many rows per slab
+            size = max(1, (_CHUNK_CELLS >> (4 + paired)) // max(len(tables), len(rows)))
             for j in range(0, len(gammas), size):
-                sums = np.array([counts @ f for f in objective_coefficients(rows, gammas[j : j + size])])
+                gamma = gammas[j : j + size]
+                f = objective_coefficients(rows, np.concatenate([gamma, gamma[:, ::-1]]) if paired else gamma)
+                if paired:
+                    f = f[: len(gamma)] + f[len(gamma) :]
+                sums = np.array([counts @ f_i for f_i in f])
                 if held is not None:
                     held[j : j + size] += sums
                     sums = held[j : j + size]
                 if i == last:
-                    yield j, sums / count
+                    yield j, sums / (count << paired)
             del rows, counts  # freed before the next chunk's kernel call
 
 
@@ -237,7 +252,8 @@ def is_coset_table(t):
 
 
 class EquivocationCurve(NamedTuple):
-    """Bits per grid point; route "coset" (z = 0 alone) or "full" (all 2**n observations)."""
+    """Bits per grid point; route "coset" (z = 0 alone) or "full" (all 2**n
+    observations, priced as 2**(n-1) complement pairs)."""
 
     bits: np.ndarray
     route: str
@@ -270,14 +286,17 @@ def ensemble_bits(blocks, n, grid):
     blocklength n: the max, the sum (extended precision where the platform
     has it) and the min of their equivocations in bits, and how many took
     each route.  A block is cut, uncopied, into views of max(1,
-    _CHUNK_CELLS >> 2n) tables, one kernel chunk each, certified once and
-    priced by _block_bits; memory grows with neither blocks nor the grid.
+    _CHUNK_CELLS >> (2n - 1)) tables, certified once and priced by
+    _block_bits: each route of a view, the full one at its 2**(n-1)
+    observations z < 2**(n-1), is one kernel chunk of at most _CHUNK_CELLS
+    cells unless one table alone is wider.  Memory grows with neither
+    blocks nor the grid.
     """
     gammas = _weight_rows(grid, n)
     top, bottom = np.full(len(gammas), -np.inf), np.full(len(gammas), np.inf)
     total = np.zeros(len(gammas), dtype=np.longdouble)
     routes = {"coset": 0, "full": 0}
-    size = max(1, _CHUNK_CELLS >> 2 * n)
+    size = max(1, _CHUNK_CELLS >> (2 * n - 1))
     for block in blocks:
         for view in np.split(block, range(size, len(block), size)):
             coset = _coset_mask(view)

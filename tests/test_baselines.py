@@ -17,7 +17,7 @@ from wiretap.baselines import (
     infinite_blocklength_limit,
     sample_binning,
 )
-from wiretap.bitcore import partition_of, tables_equal_ordered
+from wiretap.bitcore import CapExceeded, partition_of, tables_equal_ordered
 from wiretap.equivocation import equivocation_curve, total_equivocation
 
 from partition_check import is_partition
@@ -95,9 +95,10 @@ def test_enumerate_binnings_small_spaces():
 
 
 def test_enumerate_matches_count_formula():
-    for l, k in ((1, 1), (2, 1), (1, 2)):
+    for l, k in ((1, 1), (2, 1), (1, 2), (0, 2)):
         ordered = binning_code_count(l, k) * math.factorial(1 << k)
-        assert len(list(enumerate_binnings(l, k))) == ordered
+        assert len(list(enumerate_binnings(l, k))) == ordered == baselines.ordered_table_count(l, k)
+    assert baselines.ordered_table_count(2, 2) == binning_code_count(2, 2) * math.factorial(4) == 63_063_000
 
 
 def test_enumerate_binnings_limit():
@@ -170,7 +171,7 @@ def test_compare_form_exhaustive():
 
 
 def test_compare_form_blocklength_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(CapExceeded):
         compare_form(6, 7, [0.1])
 
 
@@ -191,9 +192,10 @@ def test_compare_form_memory_does_not_grow_with_samples():
 
 def test_compare_form_folds_many_slabs_like_per_table_curves(monkeypatch):
     """A small _CHUNK_CELLS cuts the sampled blocks of (3,2) tables into kernel views
-    of 16 tables, one chunk each, and a 1,001-point grid into many slabs, none past
-    its value budget; max, mean and min still equal those of per-table
-    equivocation_curve."""
+    of 32 tables, one chunk each of the observations z < 16, whose rows are priced
+    at every grid row and its reversal (the complements z ^ 31), and a 1,001-point
+    grid into many slabs, none past its value budget; max, mean and min still equal
+    those of per-table equivocation_curve."""
     grid = [float(p) for p in np.linspace(0.0, 0.5, 1001)]
     rates = np.array([equivocation_curve(t, grid).bits / 5 for t in sample_binning(3, 2, 11, count=300)])
     kernel, price = equivocation._types, equivocation.objective_coefficients
@@ -201,6 +203,7 @@ def test_compare_form_folds_many_slabs_like_per_table_curves(monkeypatch):
 
     def spy_kernel(block, zs, n):
         assert block.size * len(zs) <= equivocation._CHUNK_CELLS
+        assert zs.tolist() == ([0] if len(tables) == 0 else list(range(16)))
         rows, counts = kernel(block, zs, n)
         tables.append(len(block))
         widths.append(max(len(block), len(rows)))
@@ -217,10 +220,10 @@ def test_compare_form_folds_many_slabs_like_per_table_curves(monkeypatch):
     monkeypatch.setattr(equivocation, "objective_coefficients", spy_price)
     record = compare_form(3, 2, grid, samples=300, seed=11)
     assert record["samples"] == 300 and record["routes"] == {"coset": 0, "full": 300}
-    # the family's coset table at z = 0, then 19 views (16 tables, the last 12),
-    # each one chunk of all 32 observations
-    assert tables == [1] + [16] * 18 + [12]
-    assert sum(slabs) == len(widths) * len(grid) and len(slabs) > 10 * len(widths)
+    # the family's coset table at z = 0, then 10 views (32 tables, the last 12),
+    # each one chunk of 16 observations, priced with their 16 complements
+    assert tables == [1] + [32] * 9 + [12]
+    assert sum(slabs) == (2 * len(widths) - 1) * len(grid) and len(slabs) > 10 * len(widths)
     for row, hi, mean, lo in zip(record["rows"], rates.max(0), rates.mean(0), rates.min(0)):
         assert abs(row["rand_max"] - hi) <= 1e-12
         assert abs(row["rand_mean"] - mean) <= 1e-12

@@ -111,6 +111,22 @@ def test_compare_hits_the_row_cap_before_it_samples(capsys, monkeypatch):
     assert "exceeds cap" in err
 
 
+def test_compare_past_the_baseline_blocklength_cap_exits_3(capsys):
+    code, out, err = run(capsys, ["compare", "--form", "2,11", "--samples", "10", "--p", "0.1"])
+    assert (code, out) == (3, "")
+    assert err == "error: baseline blocklength 13 exceeds cap 12\n"
+
+
+def test_compare_exhaustive_past_the_enumeration_cap_exits_3_before_the_lp(capsys, monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("solved the LP before the enumeration cap was checked")
+
+    monkeypatch.setattr(baselines, "lp_limit_curve", no_lp)
+    code, out, err = run(capsys, ["compare", "--form", "2,2", "--exhaustive", "--p", "0.1"])
+    assert (code, out) == (3, "")
+    assert err == "error: form (2,2) has 63063000 ordered tables, exhaustive baseline exceeds cap 100000\n"
+
+
 def test_csv_reruns_are_byte_identical(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -305,6 +305,34 @@ def test_curve_equals_per_point_values_on_a_shuffled_grid():
         assert abs(curve.bits[0] - t.k) < 1e-12
 
 
+def test_profile_at_the_complement_is_the_profile_reversed():
+    """d(w, z ^ (2**n - 1)) = n - d(w, z), so the full route may price z and its
+    complement from one profile: exact at every z of random and coset tables up to
+    n = 6 and at a few z of a (4,16) table."""
+    tables = [next(sample_binning(l, n - l, seed=n)) for n in range(2, 7) for l in range(1, n)]
+    tables += list(_family_and_coset_tables(6))
+    for t in tables:
+        for z in range(1 << t.n):
+            complement = distance_profile(t, z ^ (1 << t.n) - 1)
+            assert np.array_equal(complement, distance_profile(t, z)[:, ::-1])
+    wide = standard_table(4, 16)
+    for z in (0, 1, 0x5A5A5, (1 << wide.n) - 1):
+        assert np.array_equal(distance_profile(wide, z ^ (1 << wide.n) - 1), distance_profile(wide, z)[:, ::-1])
+
+
+def test_full_route_equals_the_per_word_average_past_one_half():
+    """Random tables at n = 3..8 on the full route give the per-word oracle's average
+    over all 2**n observations within 1e-12, also at p > 1/2, p = 1 - 1e-12 and p = 1,
+    where the reversed weights carry the mass."""
+    grid = [0.0, 0.04, 0.3, 0.5, 0.62, 0.9, 1 - 1e-12, 1.0]
+    for n in range(3, 9):
+        t = next(sample_binning(n // 2, n - n // 2, seed=20 + n))
+        curve = equivocation_curve(t, grid)
+        assert curve.route == "full"
+        oracle = [sum(entropy_bits(bin_posteriors_direct(t, z, p)) for z in range(1 << n)) / (1 << n) for p in grid]
+        assert np.allclose(curve.bits, oracle, rtol=0, atol=1e-12)
+
+
 def _kernel_widths(monkeypatch):
     """A list that records the bins of every kernel call from now on."""
     kernel, widths = equivocation._types, []
@@ -347,10 +375,12 @@ def test_curve_chunks_agree_with_one_pass(monkeypatch):
 def test_every_gather_stays_within_the_chunk_budget(monkeypatch):
     """Over a 1,001-point grid no kernel call exceeds _CHUNK_CELLS distance cells: it
     takes whole tables at several observations, or one observation of a slice of
-    bins (the (2,15) table's z = 0 in two).  Every observation meets every bin once,
-    in order, every call's rows are priced at every grid point, in grid order, and
-    no slab holds more than grid rows x profiles of about _CHUNK_CELLS >> 4 values,
-    or a single grid row."""
+    bins (the (2,15) table's z = 0 in two).  The full route gathers z < 2**(n-1), in
+    order, and prices each call's rows also at the reversed weight rows (the
+    profiles of the complements z ^ (2**n - 1) are the reversed ones), so every
+    observation meets every bin once.  Every call's rows are priced at every grid
+    point, in grid order, and no slab holds more than weight rows x profiles of
+    about _CHUNK_CELLS >> 4 values, or a single grid row."""
     grid = [float(p) for p in np.linspace(0.0, 0.5, 1001)]
     tables = [next(sample_binning(2, 5, seed=3)), next(sample_binning(2, 8, seed=3)), standard_table(2, 12),
               standard_table(2, 15)]
@@ -365,14 +395,17 @@ def test_every_gather_stays_within_the_chunk_budget(monkeypatch):
         return kernel(block, zs, n)
 
     def spy_price(rows, gamma):
-        # a block of one table: a slab holds len(gamma) x max(1, profiles) values
-        assert len(gamma) == 1 or len(gamma) * max(1, len(rows)) <= equivocation._CHUNK_CELLS >> 4
+        # a block of one table: a slab holds len(gamma) x max(1, profiles) values, or
+        # one grid row (with its reversal on the full route)
+        one_row = len(gamma) == 1 or (len(gamma) == 2 and np.array_equal(gamma[1], gamma[0, ::-1]))
+        assert one_row or len(gamma) * max(1, len(rows)) <= equivocation._CHUNK_CELLS >> 4
         priced.append(gamma)
         return price(rows, gamma)
 
     def spy_slabs(block, coset, gammas):
         for j, bits in slabs(block, coset, gammas):
-            assert bits.shape == (len(priced[-1]), 1)
+            # a full-route slab prices each of its grid rows twice
+            assert bits.shape == (len(priced[-1]) // (1 if coset[0] else 2), 1)
             yielded.append(j)
             yield j, bits
 
@@ -384,22 +417,30 @@ def test_every_gather_stays_within_the_chunk_budget(monkeypatch):
         priced.clear()
         yielded.clear()
         curve = equivocation_curve(t, grid)
+        forward = priced
+        if route == "full":
+            forward = [g[: len(g) // 2] for g in priced]
+            assert all(np.array_equal(g, np.concatenate([h, h[:, ::-1]])) for g, h in zip(priced, forward))
         assert curve.route == route
         assert curve.bits.tolist() == bits.tolist()
-        count = 1 << t.n if route == "full" else 1
+        count = 1 << t.n - 1 if route == "full" else 1
         slices = -(-(1 << t.n) // equivocation._CHUNK_CELLS)
         chunks = -(-count // max(1, equivocation._CHUNK_CELLS >> t.n)) * slices
         assert len(calls) == chunks and (chunks > 1) == ((count << t.n) > equivocation._CHUNK_CELLS)
         assert (slices > 1) == (t.n >= 17)
+        assert list(dict.fromkeys(z for zs, _ in calls for z in zs)) == list(range(count))
         met = {}
         for zs, width in calls:
             for z in zs:
-                met[z] = met.get(z, 0) + width
-        assert list(met) == list(range(count)) and set(met.values()) == {len(t.array)}
-        assert np.array_equal(np.concatenate(priced), np.tile(equivocation._weight_rows(grid, t.n), (chunks, 1)))
+                for seen in (z, z ^ (1 << t.n) - 1) if route == "full" else (z,):
+                    met[seen] = met.get(seen, 0) + width
+        assert sorted(met) == list(range(2 * count if route == "full" else 1))
+        assert set(met.values()) == {len(t.array)}
+        # a full-route slab is its grid rows, then the same rows reversed
+        assert np.array_equal(np.concatenate(forward), np.tile(equivocation._weight_rows(grid, t.n), (chunks, 1)))
         # the last chunk's slabs are yielded, in grid order, and split the grid
         assert len(yielded) > 1
-        assert yielded == np.cumsum([0] + [len(g) for g in priced[-len(yielded) :]])[:-1].tolist()
+        assert yielded == np.cumsum([0] + [len(g) for g in forward[-len(yielded) :]])[:-1].tolist()
 
 
 def test_ungrouped_profiles_match_the_oracle_in_one_chunk_and_in_many(monkeypatch):
@@ -431,25 +472,42 @@ def test_ungrouped_profiles_match_the_oracle_in_one_chunk_and_in_many(monkeypatc
 
 
 def test_ensemble_bits_folds_uncopied_kernel_views_of_every_block(monkeypatch):
-    """ensemble_bits cuts each block, uncopied, into views of max(1, _CHUNK_CELLS >> 2n)
-    tables, certifies each view once, and returns the max, sum and min in bits and the
-    route counts of per-table equivocation_curve, also over views that mix routes."""
+    """ensemble_bits cuts each block, uncopied, into views of max(1, _CHUNK_CELLS >> (2n - 1))
+    tables, certifies each view once, prices each of its routes in one kernel call of at
+    most _CHUNK_CELLS cells (the full route at z < 2**(n-1)), and returns the max, sum
+    and min in bits and the route counts of per-table equivocation_curve, also over
+    views that mix routes."""
     grid = [0.0, 0.07, 0.25, 0.41, 0.5]
     tables = list(enumerate_binnings(2, 1))
     bits = np.array([equivocation_curve(t, grid).bits for t in tables])
     routes = [equivocation_curve(t, [0.1]).route for t in tables]
     blocks = [np.stack([t.array for t in tables[:50]]), np.stack([t.array for t in tables[50:]])]
-    mask, views = equivocation._coset_mask, []
+    mask, kernel, views, calls = equivocation._coset_mask, equivocation._types, [], []
 
     def spy_mask(view):
         views.append(view)
         return mask(view)
 
-    # 2**10 cells make views of 2**10 >> 6 = 16 tables
-    monkeypatch.setattr(equivocation, "_CHUNK_CELLS", 1 << 10)
+    def spy_kernel(block, zs, n):
+        assert block.size * len(zs) <= equivocation._CHUNK_CELLS
+        calls.append((len(views), len(block), zs.tolist()))
+        return kernel(block, zs, n)
+
+    # 2**9 cells make views of 2**9 >> 5 = 16 tables
+    monkeypatch.setattr(equivocation, "_CHUNK_CELLS", 1 << 9)
     monkeypatch.setattr(equivocation, "_coset_mask", spy_mask)
+    monkeypatch.setattr(equivocation, "_types", spy_kernel)
     top, total, bottom, counted = ensemble_bits(iter(blocks), 3, grid)
     assert [len(v) for v in views] == [16, 16, 16, 2, 16, 4]
+    # per view: its coset tables at z = 0, then its other tables at z = 0..3 in one call
+    starts = np.cumsum([0] + [len(v) for v in views])
+    want = []
+    for i in range(len(views)):
+        mixed = routes[starts[i] : starts[i + 1]]
+        for route, zs in (("coset", [0]), ("full", [0, 1, 2, 3])):
+            if mixed.count(route):
+                want.append((i + 1, mixed.count(route), zs))
+    assert calls == want
     assert all(v.base is not None and any(np.shares_memory(v, b) for b in blocks) for v in views)
     assert {"coset", "full"} in [set(routes[i : i + 16]) for i in range(0, 48, 16)]
     assert counted == {"coset": routes.count("coset"), "full": routes.count("full")}
