@@ -13,7 +13,7 @@ import operator
 
 import numpy as np
 
-from .bitcore import CapExceeded, CodeTable
+from .bitcore import CapExceeded, CodeTable, check_form
 from .equivocation import ensemble_bits, equivocation_curve
 from .lp_limit import lp_limit_curve
 from .ni_code import standard_table
@@ -23,9 +23,13 @@ RNG_ALGORITHM = "philox4x64"
 DEFAULT_SAMPLES = 10_000
 
 # compare_form's caps: the largest baseline blocklength, and the most
-# ordered tables it (and enumerate_binnings by default) enumerates
+# ordered tables it (and enumerate_binnings) enumerates
 COMPARE_N_CAP = 12
 ENUMERATION_LIMIT = 100_000
+
+# most decimal digits of a table count that is formed exactly: Python's
+# default limit on converting an int to text
+COUNT_DIGITS_CAP = 4300
 
 
 def _block_size(n):
@@ -40,8 +44,10 @@ def _sample_blocks(l, k, seed, count):
     state of Philox(key=[seed, i]), whose counter and buffer start empty,
     so the streams are those of a fresh generator per sample.  The seed
     is the first key word, taken modulo 2**64 as an exact uint64; seeds
-    outside [-2**63, 2**64) raise ValueError before any table is drawn.
+    outside [-2**63, 2**64) raise ValueError, and a form that check_form
+    refuses raises, before any table is drawn.
     """
+    check_form(l, k)
     seed = operator.index(seed)
     if not -(1 << 63) <= seed < 1 << 64:
         raise ValueError("seed must lie in [-2**63, 2**64), got %d" % seed)
@@ -65,7 +71,9 @@ def sample_binning(l, k, seed, count=1):
     """Yield `count` uniformly random tables of form (l, k).
 
     Sample i uses a philox4x64 generator keyed by (seed, i), so any
-    sub-range of a seed's stream can be regenerated independently.
+    sub-range of a seed's stream can be regenerated independently.  A
+    form past the blocklength cap raises CapExceeded at the first draw,
+    before its words are shuffled.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -74,22 +82,36 @@ def sample_binning(l, k, seed, count=1):
             yield CodeTable(l, k, words)
 
 
-def ordered_table_count(l, k):
-    """Number of ordered tables of form (l, k): (2**n)! / ((2**l)!)**(2**k)."""
-    return math.factorial(1 << l + k) // math.factorial(1 << l) ** (1 << k)
+def table_count(l, k, ordered=True):
+    """(count, text) of the ordered tables of form (l, k), or of the binning
+    codes with ordered=False: (e m)! / e!**m and m! fewer, for m = 2**k bins
+    of e = 2**l words.  Sized by log-gamma first: past COUNT_DIGITS_CAP
+    decimal digits count is None and text ("a D-digit number of") names only
+    its size, so no huge factorial is ever taken."""
+    e, m = 1 << l, 1 << k
+    ln = math.lgamma(e * m + 1) - m * math.lgamma(e + 1) - (0.0 if ordered else math.lgamma(m + 1))
+    digits = int(ln / math.log(10)) + 1
+    if digits > COUNT_DIGITS_CAP:
+        return None, "a %d-digit number of" % digits
+    count = binning_code_count(l, k) * (math.factorial(m) if ordered else 1)
+    return count, "%d" % count
 
 
-def enumerate_binnings(l, k, limit=ENUMERATION_LIMIT):
+def enumerate_binnings(l, k):
     """All ordered uniform partitions of form (l, k), for tiny spaces.
 
     Bins are filled left to right with every possible subset of the
     remaining words, which enumerates each ordered table exactly once.
+    A space of more than ENUMERATION_LIMIT ordered tables raises
+    ValueError ("past limit") at the first draw, sized by table_count
+    before any factorial is taken.
     """
+    check_form(l, k)
+    total, text = table_count(l, k)
+    if total is None or total > ENUMERATION_LIMIT:
+        raise ValueError("space has %s ordered tables, past limit %d" % (text, ENUMERATION_LIMIT))
     n = l + k
     e = 1 << l
-    total = ordered_table_count(l, k)
-    if total > limit:
-        raise ValueError("space has %d ordered tables, past limit %d" % (total, limit))
 
     def fill(remaining):
         if not remaining:
@@ -163,9 +185,11 @@ def compare_form(l, k, p_grid, samples=DEFAULT_SAMPLES, seed=0, exhaustive=False
         raise CapExceeded("baseline blocklength %d exceeds cap %d" % (n, COMPARE_N_CAP))
     if not exhaustive and samples < 1:
         raise ValueError("samples must be >= 1")
-    if exhaustive and (total := ordered_table_count(l, k)) > ENUMERATION_LIMIT:
-        raise CapExceeded("form (%d,%d) has %d ordered tables, exhaustive baseline exceeds cap %d"
-                          % (l, k, total, ENUMERATION_LIMIT))
+    if exhaustive:
+        total, text = table_count(l, k)
+        if total is None or total > ENUMERATION_LIMIT:
+            raise CapExceeded("form (%d,%d) has %s ordered tables, exhaustive baseline exceeds cap %d"
+                              % (l, k, text, ENUMERATION_LIMIT))
     grid = [float(p) for p in p_grid]
     # the LP first: a form past its row cap fails before any sampling
     limits = lp_limit_curve(l, k, grid)

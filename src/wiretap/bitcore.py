@@ -28,6 +28,16 @@ class CapExceeded(Exception):
     """A requested computation is past the configured size cap."""
 
 
+def check_form(l, k):
+    """The table-form rule: ValueError unless l >= 0 and k >= 1,
+    CapExceeded past blocklength l + k = N_CAP.  Every builder and reader
+    of tables calls it before any work."""
+    if l < 0 or k < 1:
+        raise ValueError("need l >= 0 and k >= 1, got (%d, %d)" % (l, k))
+    if l + k > N_CAP:
+        raise CapExceeded("blocklength %d exceeds cap %d" % (l + k, N_CAP))
+
+
 class TableParseError(ValueError):
     """Raised by parse_table; carries a 1-based line number when known."""
 
@@ -85,16 +95,15 @@ class CodeTable:
     `bins` may be any (2**k, 2**l) nesting of integers, an array among
     them, that partitions the n-bit words; the table holds a read-only
     uint32 copy in `array`.  Any other input raises ValueError listing
-    its problems.  Every table is checked here, once.
+    its problems.  Every table is checked here, once; a form that
+    :func:`check_form` refuses is refused before its bins are read, so
+    no table past the blocklength cap exists, whichever builder made it.
     """
 
     __slots__ = ("l", "k", "array")
 
     def __init__(self, l, k, bins):
-        if l < 0 or k < 1:
-            raise ValueError("need l >= 0 and k >= 1, got (%d, %d)" % (l, k))
-        if l + k > N_CAP:
-            raise CapExceeded("blocklength %d exceeds cap %d" % (l + k, N_CAP))
+        check_form(l, k)
         if not isinstance(bins, np.ndarray):
             bins = [list(b) for b in bins]
         array = _word_array(l, k, bins)
@@ -107,6 +116,7 @@ class CodeTable:
         # a table that keeps `words` without a copy: a (2**k, 2**l) uint32
         # array of n-bit words that its builder has just made and holds
         # no other reference to
+        check_form(l, k)
         t = cls.__new__(cls)
         t._settle(l, k, words)
         return t
@@ -202,7 +212,7 @@ def xor_translate(t, z):
 
 def tables_equal_ordered(a, b):
     """Strict equality: same form, same bins in the same order."""
-    return a.l == b.l and a.k == b.k and a.bins == b.bins
+    return a.l == b.l and a.k == b.k and np.array_equal(a.array, b.array)
 
 
 def partition_of(t):
@@ -210,9 +220,16 @@ def partition_of(t):
     return frozenset(frozenset(b) for b in t.bins)
 
 
+def _canonical(t):
+    # one array per partition: each bin sorted, bins ordered by their
+    # smallest word (distinct, since no word is in two bins)
+    words = np.sort(t.array, axis=1)
+    return words[np.argsort(words[:, 0])]
+
+
 def tables_equal_partition(a, b):
     """Equality up to bin order and intra-bin order."""
-    return a.n == b.n and partition_of(a) == partition_of(b)
+    return a.n == b.n and np.array_equal(_canonical(a), _canonical(b))
 
 
 def format_table(t):
@@ -277,9 +294,10 @@ def _parse_canonical(text):
     head = text[:end] if end >= 0 else ""
     try:
         l, k = (int(x) for x in head.split(" "))
-    except ValueError:
+        check_form(l, k)
+    except (ValueError, CapExceeded):
         return None
-    if head != "%d %d" % (l, k) or l < 0 or k < 1 or l + k > N_CAP:
+    if head != "%d %d" % (l, k):
         return None
     n = l + k
     row = (1 << l) * (n + 1)
@@ -325,8 +343,10 @@ def _scan_table(text):
         l, k = int(header[0]), int(header[1])
     except ValueError:
         raise TableParseError("expected two integers in header", line=1)
-    if l < 0 or k < 1 or l + k > N_CAP:
-        raise TableParseError("unsupported form (%d, %d)" % (l, k), line=1)
+    try:
+        check_form(l, k)
+    except (ValueError, CapExceeded):
+        raise TableParseError("unsupported form (%d, %d)" % (l, k), line=1) from None
     n = l + k
     bins = []
     lineno = 1

@@ -29,10 +29,6 @@ CSV_SCHEMA = "#schema=1"
 GRID_POINTS_CAP = 100_000
 SAMPLES_CAP = 100_000
 
-# most decimal digits of a count that `counts` prints exactly: Python's
-# default limit on converting an int to text; past it exit 3
-COUNT_DIGITS_CAP = 4300
-
 
 class UsageError(Exception):
     pass
@@ -50,8 +46,10 @@ def parse_form(text):
         l, k = int(parts[0]), int(parts[1])
     except ValueError:
         raise UsageError("--form expects two integers, got %r" % text)
-    if l < 0 or k < 1 or l + k > bitcore.N_CAP:
-        raise UsageError("unsupported form (%d, %d)" % (l, k))
+    try:
+        bitcore.check_form(l, k)
+    except (ValueError, bitcore.CapExceeded):
+        raise UsageError("unsupported form (%d, %d)" % (l, k)) from None
     return l, k
 
 
@@ -212,16 +210,12 @@ def _approx(count):
 def cmd_counts(args):
     l, k = parse_form(args.form)
     n, e = l + k, 1 << l
-    # binning_code_count(l, k) is (e m)! / (e!**m m!) for m = 2**k bins of
-    # e words: its size comes from log-gamma before any product is taken
-    m = 1 << k
-    log10 = (math.lgamma(e * m + 1) - m * math.lgamma(e + 1) - math.lgamma(m + 1)) / math.log(10)
-    if log10 >= COUNT_DIGITS_CAP:
-        raise bitcore.CapExceeded("binning code count of form (%d,%d) has %d decimal digits, past the cap of %d"
-                                  % (l, k, int(log10) + 1, COUNT_DIGITS_CAP))
+    codes, text = baselines.table_count(l, k, ordered=False)
+    if codes is None:
+        raise bitcore.CapExceeded("form (%d,%d) has %s binning codes, past the cap of %d digits"
+                                  % (l, k, text, baselines.COUNT_DIGITS_CAP))
     candidates = lp_limit.appendix_count(n, e)
     direct = math.comb(e + n, e)
-    codes = baselines.binning_code_count(l, k)
     paths = ni_code.path_count((1, 1), (l, k)) if l >= 1 else None
     lines = [
         "form (%d,%d): n=%d e=%d" % (l, k, n, e),
@@ -245,13 +239,11 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, grid=True, out=True):
-        if grid:
-            sp.add_argument("--p-grid", default="0:0.5:101", help="crossover grid start:stop:points")
-            sp.add_argument("--p", type=float, default=None, help="single crossover value instead of a grid")
-        if out:
-            sp.add_argument("--out", default=None, help="output path (stdout when omitted)")
-            sp.add_argument("--format", choices=["csv", "json"], default="csv")
+    def common(sp):
+        sp.add_argument("--p-grid", default="0:0.5:101", help="crossover grid start:stop:points")
+        sp.add_argument("--p", type=float, default=None, help="single crossover value instead of a grid")
+        sp.add_argument("--out", default=None, help="output path (stdout when omitted)")
+        sp.add_argument("--format", choices=["csv", "json"], default="csv")
 
     sp = sub.add_parser("limit", help="LP-derived equivocation limit curve")
     sp.add_argument("--form", required=True)

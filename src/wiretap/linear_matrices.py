@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitcore import CodeTable, word_rank
+from .bitcore import CodeTable, check_form, word_rank
 
 
 class UnsupportedForm(ValueError):
@@ -158,7 +158,11 @@ def coset_table(codec):
     Messages index bins through their binary expansion (MSB first) and
     the auxiliary words run in counter order inside each bin, so entry
     u = [m || v] is the XOR of the generator rows its set bits select.
+    A codec whose form no table may have (past the blocklength cap, which
+    encode and decode do not share) is refused by check_form before any
+    word is made, so syndrome_check refuses it too.
     """
+    check_form(codec.l, codec.k)
     words = np.zeros(1, dtype=np.uint32)
     # the lowest bit of u selects the last row: doubling from it keeps counter order
     for row in reversed(_words(codec.G)):

@@ -18,12 +18,7 @@ import math
 
 import numpy as np
 
-from .bitcore import N_CAP, CapExceeded, CodeTable
-
-
-def _check_growth(t):
-    if t.n + 1 > N_CAP:
-        raise CapExceeded("blocklength %d exceeds cap %d" % (t.n + 1, N_CAP))
+from .bitcore import CodeTable, check_form
 
 
 def _rasba_bins(words):
@@ -45,7 +40,7 @@ def rasba(t):
     even positions get a 1; the second child does the reverse.  Appends
     are on the right end.
     """
-    _check_growth(t)
+    check_form(t.l, t.k + 1)
     return CodeTable._adopt(t.l, t.k + 1, _rasba_bins(t.array))
 
 
@@ -69,7 +64,7 @@ def rahba(t):
     Z = C||1, the pair's replacements are [V; Z] and [W; U].  For k = 1
     the table's two bins form the single pair.
     """
-    _check_growth(t)
+    check_form(t.l + 1, t.k)
     return CodeTable._adopt(t.l + 1, t.k, _rahba_bins(t.array))
 
 
@@ -84,10 +79,7 @@ def standard_table(l, k):
     Each step maps a partition to a partition; the table is validated
     once, when it is built from the last step's array.
     """
-    if l < 0 or k < 1:
-        raise ValueError("need l >= 0 and k >= 1")
-    if l + k > N_CAP:
-        raise CapExceeded("blocklength %d exceeds cap %d" % (l + k, N_CAP))
+    check_form(l, k)
     words = base_table().array
     for _ in range(l):
         words = _rahba_bins(words)
@@ -126,8 +118,6 @@ def _ff_words(l):
     # the two (l, 1) bins as a (2, 2**l) array: the alternating column
     # over the flipped Gray block T (rows of gray_matrix read MSB first),
     # as is and upside down
-    if l < 1:
-        raise ValueError("l must be >= 1")
     t_block = gray_matrix(l) @ (1 << np.arange(l - 1, -1, -1))
     alt = (np.arange(1 << l) & 1) << l
     return np.stack([alt | t_block, alt | t_block[::-1]]).astype(np.uint32)
@@ -155,10 +145,9 @@ def closed_form_table(l, k):
     bin order is deterministic.  Row r of a bin flips every suffix column
     when r is odd, so its suffix is the state XOR (r & 1) * (2**(k-1) - 1).
     """
-    if l < 1 or k < 1:
+    if l < 1:
         raise ValueError("need l >= 1 and k >= 1")
-    if l + k > N_CAP:
-        raise CapExceeded("blocklength %d exceeds cap %d" % (l + k, N_CAP))
+    check_form(l, k)
     ff = _ff_words(l)
     states = np.arange(1 << (k - 1), dtype=np.uint32)
     flips = (np.arange(1 << l, dtype=np.uint32) & 1) * np.uint32((1 << (k - 1)) - 1)

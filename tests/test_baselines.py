@@ -96,9 +96,28 @@ def test_enumerate_binnings_small_spaces():
 
 def test_enumerate_matches_count_formula():
     for l, k in ((1, 1), (2, 1), (1, 2), (0, 2)):
-        ordered = binning_code_count(l, k) * math.factorial(1 << k)
-        assert len(list(enumerate_binnings(l, k))) == ordered == baselines.ordered_table_count(l, k)
-    assert baselines.ordered_table_count(2, 2) == binning_code_count(2, 2) * math.factorial(4) == 63_063_000
+        ordered = math.factorial(1 << l + k) // math.factorial(1 << l) ** (1 << k)
+        assert len(list(enumerate_binnings(l, k))) == ordered == baselines.table_count(l, k)[0]
+    assert baselines.table_count(2, 2)[0] == binning_code_count(2, 2) * math.factorial(4) == 63_063_000
+
+
+def test_table_count_sizes_by_log_gamma_as_the_exact_count_does():
+    """Every form of n <= 11: the count is formed just when it has at most COUNT_DIGITS_CAP digits."""
+    for n in range(1, 12):
+        for l in range(n):
+            k = n - l
+            for ordered in (True, False):
+                exact = math.factorial(1 << n) // math.factorial(1 << l) ** (1 << k)
+                if not ordered:
+                    exact //= math.factorial(1 << k)
+                digits = int(math.log10(exact)) + 1
+                assert 10 ** (digits - 1) <= exact < 10 ** digits
+                count, text = baselines.table_count(l, k, ordered)
+                assert (count is None) == (digits > baselines.COUNT_DIGITS_CAP)
+                if count is None:
+                    assert text == "a %d-digit number of" % digits
+                else:
+                    assert (count, text) == (exact, str(exact))
 
 
 def test_enumerate_binnings_limit():

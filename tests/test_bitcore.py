@@ -1,5 +1,7 @@
+import itertools
 import random
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wiretap import bitcore
-from wiretap.baselines import sample_binning
+from wiretap.baselines import enumerate_binnings, sample_binning
 from wiretap.bitcore import (
     N_CAP,
     CapExceeded,
@@ -164,6 +166,36 @@ def test_equality_notions():
     other = CodeTable(1, 1, [[0b00, 0b01], [0b10, 0b11]])
     assert not tables_equal_partition(t, other)
     assert partition_of(t) == {frozenset({0b00, 0b11}), frozenset({0b01, 0b10})}
+
+
+def test_equality_verdicts_are_those_of_the_bin_lists_and_sets():
+    """3,600 pairs of small tables of equal and unequal forms and blocklengths."""
+    tables = (list(enumerate_binnings(1, 1)) + list(enumerate_binnings(0, 2))
+              + list(itertools.islice(enumerate_binnings(2, 1), 0, 70, 7))
+              + list(itertools.islice(enumerate_binnings(1, 2), 0, 2520, 126)))
+    assert len(tables) == 60
+    verdicts = Counter()
+    for a, b in itertools.product(tables, repeat=2):
+        ordered = a.l == b.l and a.k == b.k and a.bins == b.bins
+        partition = a.n == b.n and partition_of(a) == partition_of(b)
+        assert tables_equal_ordered(a, b) == ordered
+        assert tables_equal_partition(a, b) == partition
+        verdicts[ordered, partition] += 1
+    assert set(verdicts) == {(True, True), (False, True), (False, False)}
+
+
+def test_equality_at_n_20_holds_no_copy_of_the_bins_as_lists():
+    a = standard_table(4, 16)
+    b = CodeTable(4, 16, a.array[::-1, ::-1])
+    swapped = a.array.copy()
+    swapped[[0, 1], 0] = swapped[[1, 0], 0]
+    assert tables_equal_ordered(a, a) and not tables_equal_ordered(a, b)
+    assert tables_equal_partition(a, b) and not tables_equal_partition(a, CodeTable(4, 16, swapped))
+    words = 4 << 20
+    # a bool per word to compare in order; a sorted copy of each table, and one
+    # transient reordering, up to bin order
+    assert _peak_bytes(lambda: tables_equal_ordered(a, b)) <= words / 2
+    assert _peak_bytes(lambda: tables_equal_partition(a, b)) <= 4 * words
 
 
 def test_format_parse_round_trip():

@@ -367,7 +367,7 @@ def test_counts_past_the_digit_cap_exit_3_at_once(capsys):
             assert time.perf_counter() - start < 1.0
             assert (code, out) == (3, "")
             assert err.startswith("error: ") and err.count("\n") == 1
-            assert "cap of %d" % cli.COUNT_DIGITS_CAP in err
+            assert "cap of %d" % baselines.COUNT_DIGITS_CAP in err
 
 
 def test_counts_of_one_word_bins_skip_the_product(capsys):
