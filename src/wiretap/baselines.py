@@ -31,6 +31,9 @@ ENUMERATION_LIMIT = 100_000
 # default limit on converting an int to text
 COUNT_DIGITS_CAP = 4300
 
+# most decimal digits of a count that table_count's text spells out
+_TEXT_DIGITS = 30
+
 
 def _block_size(n):
     # tables per sampled or enumerated block: about 2**16 words
@@ -86,15 +89,17 @@ def table_count(l, k, ordered=True):
     """(count, text) of the ordered tables of form (l, k), or of the binning
     codes with ordered=False: (e m)! / e!**m and m! fewer, for m = 2**k bins
     of e = 2**l words.  Sized by log-gamma first: past COUNT_DIGITS_CAP
-    decimal digits count is None and text ("a D-digit number of") names only
-    its size, so no huge factorial is ever taken."""
+    decimal digits count is None, so no huge factorial is ever taken.  The
+    text is the count in decimal up to _TEXT_DIGITS digits and otherwise
+    names only its size ("a D-digit number of")."""
     e, m = 1 << l, 1 << k
     ln = math.lgamma(e * m + 1) - m * math.lgamma(e + 1) - (0.0 if ordered else math.lgamma(m + 1))
     digits = int(ln / math.log(10)) + 1
-    if digits > COUNT_DIGITS_CAP:
-        return None, "a %d-digit number of" % digits
-    count = binning_code_count(l, k) * (math.factorial(m) if ordered else 1)
-    return count, "%d" % count
+    count = None
+    if digits <= COUNT_DIGITS_CAP:
+        count = binning_code_count(l, k) * (math.factorial(m) if ordered else 1)
+        digits = len(str(count))
+    return count, "%d" % count if digits <= _TEXT_DIGITS else "a %d-digit number of" % digits
 
 
 def enumerate_binnings(l, k):

@@ -22,10 +22,13 @@ z is its profile at z reversed, so the 2**n observations are priced as
 2**(n-1) complement pairs: z < 2**(n-1) is gathered and each distinct
 profile is priced as given and reversed.  For a coset table
 (is_coset_table) every observation has the conditional entropy of z = 0,
-so z = 0 alone gives the exact average; _block_bits, which every curve
-and ensemble_bits go through, holds both rules.  Nothing is sampled.
-Every kernel and certificate pass holds about _CHUNK_CELLS distance
-cells beside the tables, however large 2**n is.
+so z = 0 alone gives the exact average.  _block_bits holds both rules,
+and every equivocation entry point goes through it: the curves,
+ensemble_bits, and conditional_equivocation, whose one observation z is
+priced as the coset route prices z = 0.  Nothing is sampled.  Every
+kernel, certificate and per-bin profile pass holds about _CHUNK_CELLS
+distance cells beside the tables, however large 2**n is; a block is cut
+into slices of bins by one rule (_bins_per_slice).
 """
 
 import itertools
@@ -93,20 +96,20 @@ def objective_coefficients(rows, gamma):
     masses are reduced on their own, so no other row of the stack
     changes a bit of them.
     """
-    if np.ndim(gamma) == 1:
-        return _entropy_terms(rows @ gamma)
-    return _entropy_terms(np.einsum("sd,gd->sg", gamma, rows))
-
-
-def _entropy_terms(P):
+    P = rows @ gamma if np.ndim(gamma) == 1 else np.einsum("sd,gd->sg", gamma, rows)
     # -P log2 P elementwise, 0 log 0 = 0, in one buffer beside P
-    out = np.empty_like(P)
+    f = np.empty_like(P)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.log2(P, out=out)
-        out *= P
-        np.negative(out, out=out)
-        out[P <= 0.0] = 0.0
-    return out
+        np.log2(P, out=f)
+        f *= P
+        np.negative(f, out=f)
+        f[P <= 0.0] = 0.0
+    return f
+
+
+def _bins_per_slice(block):
+    # bins per slice of a (B, K, 2**l) block: about _CHUNK_CELLS words, one bin at least
+    return max(1, _CHUNK_CELLS // (len(block) * block.shape[2]))
 
 
 def _profiles(block, zs, n):
@@ -158,40 +161,42 @@ def _types(block, zs, n):
     return rows.astype(float), counts.reshape(len(block), len(rows)).astype(float)
 
 
-def _block_bits(block, coset, gammas):
+def _block_bits(block, coset, gammas, z):
     """Grid slabs (j, bits) of a (B, 2**k, 2**l) block of valid tables, the
-    route rule: tables flagged in the boolean `coset` are priced at z = 0
-    alone (exact, is_coset_table), the rest over all 2**n observations,
-    coset route first; bits[i] holds a route's equivocations in bits, in
-    block order, at weight row j + i.  The full route gathers only
-    z < 2**(n-1): a chunk's profiles `rows` are priced as they are and as
-    rows[:, ::-1], the profiles at the complements z ^ (2**n - 1), in one
-    objective_coefficients call whose weight rows are the slab's rows and
-    their reversals (rows[:, ::-1] . gamma = rows . gamma[::-1]); the two
-    entropy terms are added, and the sums are divided by 2**n.  A route
-    goes to _types in chunks of about _CHUNK_CELLS cells: several
-    observations of whole tables, or, when one observation of the tables
-    is wider, one observation of a slice of their bins (one bin when a bin
-    alone is wider).  A chunk's profiles are priced for a slab of weight
-    rows x max(tables, profiles) values, about _CHUNK_CELLS >> 4, or one
-    grid row (two weight rows on the full route), and each point's table
-    sums are one counts @ f[i].  Several chunks add their slabs into sums
-    held over the grid, which the last chunk yields.
+    route rule: tables flagged in the boolean `coset` are priced at the one
+    observation z alone (at z = 0 a certified coset table's exact average,
+    is_coset_table; at any z conditional_equivocation), the rest over all
+    2**n observations, coset route first; bits[i] holds a route's
+    equivocations in bits, in block order, at weight row j + i.  The full
+    route gathers only z < 2**(n-1): a chunk's profiles `rows` are priced
+    as they are and as rows[:, ::-1], the profiles at the complements
+    z ^ (2**n - 1), in one objective_coefficients call whose weight rows
+    are the slab's rows and their reversals
+    (rows[:, ::-1] . gamma = rows . gamma[::-1]); the two entropy terms are
+    added, and the sums are divided by 2**n.  A route goes to _types in
+    chunks of about _CHUNK_CELLS cells: several observations of whole
+    tables, or, when one observation of the tables is wider, one
+    observation of a slice of their bins (_bins_per_slice).  A chunk's
+    profiles are priced for a slab of weight rows x max(tables, profiles)
+    values, about _CHUNK_CELLS >> 4, or one grid row (two weight rows on
+    the full route), and each point's table sums are one counts @ f[i].
+    Several chunks add their slabs into sums held over the grid, which the
+    last chunk yields.
     """
     n = (block.shape[1] * block.shape[2]).bit_length() - 1
-    for members, count, paired in ((coset, 1, False), (~coset, 1 << n - 1, True)):
+    for members, origin, count, paired in ((coset, z, 1, False), (~coset, 0, 1 << n - 1, True)):
         if not members.any():
             continue
         # a route that takes the whole block reads it uncopied
         tables = block if members.all() else block[members]
         step = max(1, _CHUNK_CELLS // tables.size)
-        width = max(1, _CHUNK_CELLS // (len(tables) * tables.shape[2]))
+        width = _bins_per_slice(tables)
         starts = range(0, count if len(gammas) else 0, step)
         slices = range(0, tables.shape[1], width)
         last = len(starts) * len(slices) - 1
         held = np.zeros((len(gammas), len(tables))) if last > 0 else None
         for i, (start, c) in enumerate(itertools.product(starts, slices)):
-            zs = np.arange(start, min(start + step, count), dtype=np.uint32)
+            zs = np.arange(origin + start, origin + min(start + step, count), dtype=np.uint32)
             rows, counts = _types(tables[:, c : c + width], zs, n)
             # paired slabs price each grid row twice: half as many rows per slab
             size = max(1, (_CHUNK_CELLS >> (4 + paired)) // max(len(tables), len(rows)))
@@ -228,7 +233,7 @@ def _coset_mask(block):
     n = (block.shape[1] << l).bit_length() - 1
     home = _translates(block[:, :1])
     ok = np.ones(len(block), dtype=bool)
-    step = max(1, _CHUNK_CELLS // (len(block) << l))
+    step = _bins_per_slice(block)
     for start in range(1, block.shape[1], step):
         if not ok.any():
             break
@@ -275,7 +280,7 @@ def equivocation_curve(t, grid):
     coset = _coset_mask(t.array[None])
     gammas = _weight_rows(grid, t.n)
     bits = np.empty(len(gammas))
-    for j, h in _block_bits(t.array[None], coset, gammas):
+    for j, h in _block_bits(t.array[None], coset, gammas, 0):
         bits[j : j + len(h)] = h[:, 0]
     return EquivocationCurve(bits, "coset" if coset[0] else "full")
 
@@ -302,7 +307,7 @@ def ensemble_bits(blocks, n, grid):
             coset = _coset_mask(view)
             routes["coset"] += int(coset.sum())
             routes["full"] += int((~coset).sum())
-            for j, bits in _block_bits(view, coset, gammas):
+            for j, bits in _block_bits(view, coset, gammas, 0):
                 span = slice(j, j + len(bits))
                 np.maximum(top[span], bits.max(axis=1), out=top[span])
                 np.minimum(bottom[span], bits.min(axis=1), out=bottom[span])
@@ -316,13 +321,27 @@ def total_equivocation(t, p):
 
 
 def total_equivocation_linear(t, p):
-    """total_equivocation of a certified coset table; NotLinearError for any other."""
+    """total_equivocation of a certified coset table, H(M|Z=0) (Wyner);
+    NotLinearError for any other."""
     if not is_coset_table(t):
         raise NotLinearError(
             "not a coset table: its translate by some unit vector differs from it "
             "as a partition, so H(M|Z=0) need not be the equivocation"
         )
-    return float(next(_block_bits(t.array[None], np.ones(1, dtype=bool), _weight_rows([p], t.n)))[1][0, 0])
+    return conditional_equivocation(t, 0, p)
+
+
+def _check_observation(t, z):
+    if not 0 <= z < (1 << t.n):
+        raise ValueError("z does not fit in %d bits" % t.n)
+
+
+def _bin_slices(t, z):
+    # z as the kernel's one-observation array, and the slices of t's bins
+    # whose profiles at z are gathered one at a time
+    _check_observation(t, z)
+    width = _bins_per_slice(t.array[None])
+    return np.array([z], dtype=np.uint32), [slice(c, c + width) for c in range(0, len(t.array), width)]
 
 
 def distance_profile(t, z):
@@ -332,27 +351,35 @@ def distance_profile(t, z):
     bin i at each distance from z.  Rows sum to 2**l and column j sums
     to C(n, j) over all bins, since the bins partition the space.
     """
-    if not 0 <= z < (1 << t.n):
-        raise ValueError("z does not fit in %d bits" % t.n)
-    # a slice of about _CHUNK_CELLS words at a time, one bin at least
-    width = max(1, _CHUNK_CELLS >> t.l)
-    zs = np.array([z], dtype=np.uint32)
-    return np.concatenate([_profiles(t.array[None, c : c + width], zs, t.n) for c in range(0, len(t.array), width)])
+    zs, slices = _bin_slices(t, z)
+    # one output filled a slice at a time: never the profile twice over
+    out = np.empty((len(t.array), t.n + 1), dtype=np.int64)
+    for s in slices:
+        out[s] = _profiles(t.array[None, s], zs, t.n)
+    return out
 
 
 def bin_posteriors(t, z, p):
-    """Bin probabilities given z: the distance profile times channel_weights."""
-    # einsum casts the integer profile in buffers, not as a whole float copy
-    return np.einsum("id,d->i", distance_profile(t, z), channel_weights(p, t.n))
+    """Bin probabilities given z: the distance profile times channel_weights,
+    a slice of bins at a time, so the whole profile is never held."""
+    zs, slices = _bin_slices(t, z)
+    gamma = channel_weights(p, t.n)
+    out = np.empty(len(t.array))
+    for s in slices:
+        # einsum casts the integer profile in buffers, not as a whole float copy
+        np.einsum("id,d->i", _profiles(t.array[None, s], zs, t.n), gamma, out=out[s])
+    return out
 
 
 def conditional_equivocation(t, z, p):
     """Entropy in bits of the bin posterior given one observation z.
 
-    Uses the convention 0 * log 0 = 0.  For p = 0 or p = 1 the posterior
-    is a point mass and the value is exactly 0.
+    One _block_bits call that prices t at z alone, as the coset route
+    prices z = 0.  Uses the convention 0 * log 0 = 0.  For p = 0 or p = 1
+    the posterior is a point mass and the value is exactly 0.
     """
-    return float(_entropy_terms(bin_posteriors(t, z, p)).sum())
+    _check_observation(t, z)
+    return float(next(_block_bits(t.array[None], np.ones(1, dtype=bool), _weight_rows([p], t.n), z))[1][0, 0])
 
 
 def equivocation_rate(t, p):

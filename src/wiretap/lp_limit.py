@@ -70,20 +70,20 @@ class CountMismatch(RuntimeError):
     """The two candidate-row counting formulas disagreed; implementation bug."""
 
 
-def enumerate_rows(n, e, cap=ROW_CAP):
+def enumerate_rows(n, e):
     """All weak compositions of e into n+1 parts, colexicographically.
 
     Returns an (N, n+1) float array with N = C(e+n, e): the transposed
     view of a C-contiguous (n+1, N) buffer.  Its entries are integers of
     at most e, exact in float64, and the buffer is the LP's row-major
     constraint matrix without a second copy.  Raises CapExceeded before
-    materializing anything when N is past cap.
+    materializing anything when N is past ROW_CAP.
     """
     if n < 1 or e < 1:
         raise ValueError("need n >= 1 and e >= 1")
     count = math.comb(e + n, e)
-    if count > cap:
-        raise CapExceeded("candidate row count N = %d exceeds cap %d" % (count, cap))
+    if count > ROW_CAP:
+        raise CapExceeded("candidate row count N = %d exceeds cap %d" % (count, ROW_CAP))
     # A row r is fixed by its suffix sums s_t = r[n-t] + ... + r[n],
     # t = 0..n-1, and colexicographic order on rows is lexicographic
     # order on the nondecreasing sequences (s_0, ..., s_{n-1}) in [0, e].

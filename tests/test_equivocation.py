@@ -141,6 +141,11 @@ def test_conditional_equivocation_endpoints():
     assert conditional_equivocation(t, 0b00, 0.0) == 0.0
     assert conditional_equivocation(t, 0b00, 1.0) == 0.0
     assert abs(conditional_equivocation(t, 0b10, 0.5) - 1.0) < 1e-12
+    for z, p in ((4, 0.1), (-1, 0.1), (0, -0.1), (0, 1.5)):
+        with pytest.raises(ValueError):
+            conditional_equivocation(t, z, p)
+        with pytest.raises(ValueError):
+            bin_posteriors(t, z, p)
 
 
 def test_total_equivocation_matches_average_of_conditionals():
@@ -402,8 +407,8 @@ def test_every_gather_stays_within_the_chunk_budget(monkeypatch):
         priced.append(gamma)
         return price(rows, gamma)
 
-    def spy_slabs(block, coset, gammas):
-        for j, bits in slabs(block, coset, gammas):
+    def spy_slabs(block, coset, gammas, z):
+        for j, bits in slabs(block, coset, gammas, z):
             # a full-route slab prices each of its grid rows twice
             assert bits.shape == (len(priced[-1]) // (1 if coset[0] else 2), 1)
             yielded.append(j)
@@ -465,9 +470,10 @@ def test_ungrouped_profiles_match_the_oracle_in_one_chunk_and_in_many(monkeypatc
             assert curve.route == route
             assert np.allclose(curve.bits, want, rtol=0, atol=1e-12)
         assert widths == slices
-    # at (4,12) the key of a bin holding the all-ones word would pass 2**63
+    # at (4,12) the key of a bin holding the all-ones word would pass 2**63; the
+    # reference is the entropy of the posterior at z = 0, which never reaches _types
     wide = standard_table(4, 12)
-    want = [conditional_equivocation(wide, 0, p) for p in grid]
+    want = [entropy_bits(bin_posteriors(wide, 0, p)) for p in grid]
     assert np.allclose(equivocation_curve(wide, grid).bits, want, rtol=0, atol=1e-12)
 
 
@@ -559,15 +565,20 @@ def _peak_bytes(call):
 
 
 def test_coset_route_memory_is_a_few_chunks_at_any_blocklength():
-    """Beside the table, is_coset_table holds at most 8 and a two-point curve at most 32
-    bytes per _CHUNK_CELLS cell (0.5 and 2 MB) from n = 16 to n = 20, on the int64-key
-    path at l = 2 and past it at l = 4, where every cell is its own group: nothing of
-    size 2**n is allocated (a 2**n word -> bin map alone would be 2 MB at (4,16))."""
+    """Beside the table, is_coset_table holds at most 8, and a two-point curve and
+    conditional_equivocation at z = 5 at most 32 bytes per _CHUNK_CELLS cell (0.5 and
+    2 MB) from n = 16 to n = 20, on the int64-key path at l = 2 and past it at l = 4,
+    where every cell is its own group: nothing of size 2**n is allocated (a 2**n word
+    -> bin map alone would be 2 MB at (4,16)).  bin_posteriors holds its output and at
+    most 64 bytes per cell beside it: the whole (2**k, n+1) profile is never held."""
     for form in ((2, 14), (2, 18), (4, 12), (4, 16)):
         t = standard_table(*form)
         assert (((1 << t.l) + 1) ** (t.n + 1) < 1 << 63) == (t.l == 2)
         assert _peak_bytes(lambda: is_coset_table(t)) <= 8 * equivocation._CHUNK_CELLS
         assert _peak_bytes(lambda: equivocation_curve(t, [0.1, 0.3])) <= 32 * equivocation._CHUNK_CELLS
+        assert _peak_bytes(lambda: conditional_equivocation(t, 5, 0.1)) <= 32 * equivocation._CHUNK_CELLS
+        output = 8 * len(t.array)
+        assert _peak_bytes(lambda: bin_posteriors(t, 5, 0.1)) <= output + 64 * equivocation._CHUNK_CELLS
 
 
 def test_curve_rejects_invalid_tables_and_crossovers():

@@ -73,9 +73,10 @@ def test_enumerate_rows_colex_at_scale():
         assert np.all(first > 0)
 
 
-def test_enumerate_rows_cap():
+def test_enumerate_rows_cap(monkeypatch):
+    monkeypatch.setattr(lp_limit, "ROW_CAP", 10)
     with pytest.raises(CapExceeded) as exc:
-        enumerate_rows(5, 2, cap=10)
+        enumerate_rows(5, 2)
     assert "21" in str(exc.value)
 
 
