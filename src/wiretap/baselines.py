@@ -102,8 +102,8 @@ def table_count(l, k, ordered=True):
     return count, "%d" % count if digits <= _TEXT_DIGITS else "a %d-digit number of" % digits
 
 
-def enumerate_binnings(l, k):
-    """All ordered uniform partitions of form (l, k), for tiny spaces.
+def _enumerate_blocks(l, k):
+    """Every ordered table of form (l, k) as (B, 2**k, 2**l) word blocks.
 
     Bins are filled left to right with every possible subset of the
     remaining words, which enumerates each ordered table exactly once.
@@ -122,14 +122,23 @@ def enumerate_binnings(l, k):
         if not remaining:
             yield []
             return
-        rest = list(remaining)
-        for combo in itertools.combinations(rest, e):
-            left = [w for w in rest if w not in set(combo)]
-            for tail in fill(left):
-                yield [list(combo)] + tail
+        for combo in itertools.combinations(remaining, e):
+            chosen = set(combo)
+            for tail in fill([w for w in remaining if w not in chosen]):
+                yield [*combo, *tail]
 
-    for bins in fill(list(range(1 << n))):
-        yield CodeTable(l, k, bins)
+    tables = fill(list(range(1 << n)))
+    while block := list(itertools.islice(tables, _block_size(n))):
+        yield np.array(block, dtype=np.uint32).reshape(-1, 1 << k, e)
+
+
+def enumerate_binnings(l, k):
+    """All ordered uniform partitions of form (l, k), for tiny spaces: the
+    tables of _enumerate_blocks in its order, each exactly once, and its
+    ValueError ("past limit") at the first draw."""
+    for block in _enumerate_blocks(l, k):
+        for words in block:
+            yield CodeTable(l, k, words)
 
 
 def binning_code_count(l, k):
@@ -163,15 +172,6 @@ def infinite_blocklength_limit(p, rate):
     return min(binary_entropy(p), rate)
 
 
-def _baseline_blocks(l, k, samples, seed, exhaustive):
-    if not exhaustive:
-        yield from _sample_blocks(l, k, seed, samples)
-        return
-    tables = enumerate_binnings(l, k)
-    while block := [t.array for t in itertools.islice(tables, _block_size(l + k))]:
-        yield np.stack(block)
-
-
 def compare_form(l, k, p_grid, samples=DEFAULT_SAMPLES, seed=0, exhaustive=False):
     """Comparison record for one form over a crossover grid.
 
@@ -200,7 +200,8 @@ def compare_form(l, k, p_grid, samples=DEFAULT_SAMPLES, seed=0, exhaustive=False
     limits = lp_limit_curve(l, k, grid)
     ni = equivocation_curve(standard_table(l, k), grid).bits / n
     # the baseline streams through in blocks, folded as it goes
-    top, total, bottom, routes = ensemble_bits(_baseline_blocks(l, k, samples, seed, exhaustive), n, grid)
+    blocks = _enumerate_blocks(l, k) if exhaustive else _sample_blocks(l, k, seed, samples)
+    top, total, bottom, routes = ensemble_bits(blocks, n, grid)
     count = routes["coset"] + routes["full"]
     rows = [
         {"p": p, "ni_rate": float(ni_p), "lp_limit": float(limit),

@@ -109,7 +109,7 @@ def objective_coefficients(rows, gamma):
 
 def _bins_per_slice(block):
     # bins per slice of a (B, K, 2**l) block: about _CHUNK_CELLS words, one bin at least
-    return max(1, _CHUNK_CELLS // (len(block) * block.shape[2]))
+    return max(1, _CHUNK_CELLS // (max(1, len(block)) * block.shape[2]))
 
 
 def _profiles(block, zs, n):
@@ -136,14 +136,15 @@ def _types(block, zs, n):
     sum_d c_d (2**l + 1)**d, the sum over the cell's words w of the term
     (2**l + 1)**d(w, z), so no profile is built; the terms of every word
     at every observation are tabled once for all B tables when that
-    table holds at most _CHUNK_CELLS terms, and are computed for the
-    block's own words otherwise.  When a key can pass 2**63 every cell is
-    its own group.  Memory is a small multiple of the block's cells.
+    table holds at most _CHUNK_CELLS terms and is shared (the block holds
+    more than 2**n words), and computed for the block's own words
+    otherwise.  When a key can pass 2**63 every cell is its own group.
+    Memory is a small multiple of the block's cells.
     """
     base = block.shape[2] + 1
     if base ** (n + 1) < 1 << 63:
         powers = base ** np.arange(n + 1, dtype=np.int64)
-        if len(zs) << n <= _CHUNK_CELLS:
+        if len(zs) << n <= _CHUNK_CELLS and block.size > 1 << n:
             terms = powers[np.bitwise_count(np.arange(1 << n, dtype=np.uint32)[:, None] ^ zs)][block]
         else:
             terms = powers[np.bitwise_count(block[..., None] ^ zs)]
@@ -166,52 +167,54 @@ def _block_bits(block, coset, gammas, z):
     route rule: tables flagged in the boolean `coset` are priced at the one
     observation z alone (at z = 0 a certified coset table's exact average,
     is_coset_table; at any z conditional_equivocation), the rest over all
-    2**n observations, coset route first; bits[i] holds a route's
-    equivocations in bits, in block order, at weight row j + i.  The full
-    route gathers only z < 2**(n-1): a chunk's profiles `rows` are priced
-    as they are and as rows[:, ::-1], the profiles at the complements
-    z ^ (2**n - 1), in one objective_coefficients call whose weight rows
-    are the slab's rows and their reversals
-    (rows[:, ::-1] . gamma = rows . gamma[::-1]); the two entropy terms are
-    added, and the sums are divided by 2**n.  A route goes to _types in
-    chunks of about _CHUNK_CELLS cells: several observations of whole
-    tables, or, when one observation of the tables is wider, one
-    observation of a slice of their bins (_bins_per_slice).  A chunk's
-    profiles are priced for a slab of weight rows x max(tables, profiles)
-    values, about _CHUNK_CELLS >> 4, or one grid row (two weight rows on
-    the full route), and each point's table sums are one counts @ f[i].
-    Several chunks add their slabs into sums held over the grid, which the
-    last chunk yields.
+    2**n observations, coset route first.  A route is cut, in block order,
+    into groups of max(1, _CHUNK_CELLS // (observations x 2**n)) tables,
+    so a group at all of its route's observations fills one chunk unless
+    one table alone is wider; bits[i] holds a group's equivocations in
+    bits, in block order, at weight row j + i.  The full route gathers
+    only z < 2**(n-1): a chunk's profiles `rows` are priced as they are and
+    as rows[:, ::-1], the profiles at the complements z ^ (2**n - 1), in
+    one objective_coefficients call whose weight rows are the slab's rows
+    and their reversals (rows[:, ::-1] . gamma = rows . gamma[::-1]); the
+    two entropy terms are added, and the sums are divided by 2**n.  A group
+    goes to _types in chunks of about _CHUNK_CELLS cells: several
+    observations of whole tables, or, when one observation of the tables
+    is wider, one observation of a slice of their bins (_bins_per_slice).
+    A chunk's profiles are priced for a slab of weight rows x max(tables,
+    profiles) values, about _CHUNK_CELLS >> 4, or one grid row (two weight
+    rows on the full route), and each point's table sums are one
+    counts @ f[i].  Several chunks of a group add their slabs into sums
+    held over the grid, which the group's last chunk yields.
     """
     n = (block.shape[1] * block.shape[2]).bit_length() - 1
     for members, origin, count, paired in ((coset, z, 1, False), (~coset, 0, 1 << n - 1, True)):
-        if not members.any():
-            continue
-        # a route that takes the whole block reads it uncopied
-        tables = block if members.all() else block[members]
-        step = max(1, _CHUNK_CELLS // tables.size)
-        width = _bins_per_slice(tables)
-        starts = range(0, count if len(gammas) else 0, step)
-        slices = range(0, tables.shape[1], width)
-        last = len(starts) * len(slices) - 1
-        held = np.zeros((len(gammas), len(tables))) if last > 0 else None
-        for i, (start, c) in enumerate(itertools.product(starts, slices)):
-            zs = np.arange(origin + start, origin + min(start + step, count), dtype=np.uint32)
-            rows, counts = _types(tables[:, c : c + width], zs, n)
-            # paired slabs price each grid row twice: half as many rows per slab
-            size = max(1, (_CHUNK_CELLS >> (4 + paired)) // max(len(tables), len(rows)))
-            for j in range(0, len(gammas), size):
-                gamma = gammas[j : j + size]
-                f = objective_coefficients(rows, np.concatenate([gamma, gamma[:, ::-1]]) if paired else gamma)
-                if paired:
-                    f = f[: len(gamma)] + f[len(gamma) :]
-                sums = np.array([counts @ f_i for f_i in f])
-                if held is not None:
-                    held[j : j + size] += sums
-                    sums = held[j : j + size]
-                if i == last:
-                    yield j, sums / (count << paired)
-            del rows, counts  # freed before the next chunk's kernel call
+        # a route that takes the whole block reads it uncopied, and its groups are views
+        route = block if members.all() else block[members]
+        stride = max(1, _CHUNK_CELLS // (count << n))
+        for tables in (route[g : g + stride] for g in range(0, len(route), stride)):
+            step = max(1, _CHUNK_CELLS // tables.size)
+            width = _bins_per_slice(tables)
+            starts = range(0, count if len(gammas) else 0, step)
+            slices = range(0, tables.shape[1], width)
+            last = len(starts) * len(slices) - 1
+            held = np.zeros((len(gammas), len(tables))) if last > 0 else None
+            for i, (start, c) in enumerate(itertools.product(starts, slices)):
+                zs = np.arange(origin + start, origin + min(start + step, count), dtype=np.uint32)
+                rows, counts = _types(tables[:, c : c + width], zs, n)
+                # paired slabs price each grid row twice: half as many rows per slab
+                size = max(1, (_CHUNK_CELLS >> (4 + paired)) // max(len(tables), len(rows)))
+                for j in range(0, len(gammas), size):
+                    gamma = gammas[j : j + size]
+                    f = objective_coefficients(rows, np.concatenate([gamma, gamma[:, ::-1]]) if paired else gamma)
+                    if paired:
+                        f = f[: len(gamma)] + f[len(gamma) :]
+                    sums = np.array([counts @ f_i for f_i in f])
+                    if held is not None:
+                        held[j : j + size] += sums
+                        sums = held[j : j + size]
+                    if i == last:
+                        yield j, sums / (count << paired)
+                del rows, counts  # freed before the next chunk's kernel call
 
 
 def _translates(bins):
@@ -290,28 +293,23 @@ def ensemble_bits(blocks, n, grid):
     `blocks`, an iterable of (B, 2**k, 2**l) word arrays of valid tables of
     blocklength n: the max, the sum (extended precision where the platform
     has it) and the min of their equivocations in bits, and how many took
-    each route.  A block is cut, uncopied, into views of max(1,
-    _CHUNK_CELLS >> (2n - 1)) tables, certified once and priced by
-    _block_bits: each route of a view, the full one at its 2**(n-1)
-    observations z < 2**(n-1), is one kernel chunk of at most _CHUNK_CELLS
-    cells unless one table alone is wider.  Memory grows with neither
-    blocks nor the grid.
+    each route.  Each block is certified once and handed whole to
+    _block_bits, which cuts it into kernel chunks; the slabs it yields are
+    folded as they come.  Memory grows with neither blocks nor the grid.
     """
     gammas = _weight_rows(grid, n)
     top, bottom = np.full(len(gammas), -np.inf), np.full(len(gammas), np.inf)
     total = np.zeros(len(gammas), dtype=np.longdouble)
     routes = {"coset": 0, "full": 0}
-    size = max(1, _CHUNK_CELLS >> (2 * n - 1))
     for block in blocks:
-        for view in np.split(block, range(size, len(block), size)):
-            coset = _coset_mask(view)
-            routes["coset"] += int(coset.sum())
-            routes["full"] += int((~coset).sum())
-            for j, bits in _block_bits(view, coset, gammas, 0):
-                span = slice(j, j + len(bits))
-                np.maximum(top[span], bits.max(axis=1), out=top[span])
-                np.minimum(bottom[span], bits.min(axis=1), out=bottom[span])
-                total[span] += bits.sum(axis=1, dtype=np.longdouble)
+        coset = _coset_mask(block)
+        routes["coset"] += int(coset.sum())
+        routes["full"] += int((~coset).sum())
+        for j, bits in _block_bits(block, coset, gammas, 0):
+            span = slice(j, j + len(bits))
+            np.maximum(top[span], bits.max(axis=1), out=top[span])
+            np.minimum(bottom[span], bits.min(axis=1), out=bottom[span])
+            total[span] += bits.sum(axis=1, dtype=np.longdouble)
     return top, total, bottom, routes
 
 

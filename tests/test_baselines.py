@@ -17,8 +17,9 @@ from wiretap.baselines import (
     infinite_blocklength_limit,
     sample_binning,
 )
-from wiretap.bitcore import CapExceeded, partition_of, tables_equal_ordered
+from wiretap.bitcore import CapExceeded, CodeTable, partition_of, tables_equal_ordered
 from wiretap.equivocation import equivocation_curve, total_equivocation
+from wiretap.ni_code import standard_table
 
 from partition_check import is_partition
 
@@ -250,6 +251,24 @@ def test_compare_form_folds_many_slabs_like_per_table_curves(monkeypatch):
         assert abs(row["rand_max"] - hi) <= 1e-12
         assert abs(row["rand_mean"] - mean) <= 1e-12
         assert abs(row["rand_min"] - lo) <= 1e-12
+
+
+def test_exhaustive_baseline_builds_no_table(monkeypatch):
+    """compare_form's exhaustive baseline streams word blocks to ensemble_bits, as the
+    sampler does: the only tables it builds are the family's, which standard_table
+    alone builds too, not one per enumerated table."""
+    settle, built = CodeTable._settle, []
+
+    def spy_settle(self, l, k, array):
+        built.append((l, k))
+        return settle(self, l, k, array)
+
+    monkeypatch.setattr(CodeTable, "_settle", spy_settle)
+    standard_table(2, 1)
+    family = list(built)
+    built.clear()
+    record = compare_form(2, 1, [0.0, 0.1, 0.5], exhaustive=True)
+    assert record["samples"] == 70 and built == family
 
 
 def test_sampler_streams_equal_a_fresh_philox_generator_per_sample(monkeypatch):

@@ -478,52 +478,61 @@ def test_ungrouped_profiles_match_the_oracle_in_one_chunk_and_in_many(monkeypatc
 
 
 def test_ensemble_bits_folds_uncopied_kernel_views_of_every_block(monkeypatch):
-    """ensemble_bits cuts each block, uncopied, into views of max(1, _CHUNK_CELLS >> (2n - 1))
-    tables, certifies each view once, prices each of its routes in one kernel call of at
-    most _CHUNK_CELLS cells (the full route at z < 2**(n-1)), and returns the max, sum
-    and min in bits and the route counts of per-table equivocation_curve, also over
-    views that mix routes."""
+    """ensemble_bits certifies each block once (one _coset_mask call) and hands it whole
+    to _block_bits, which cuts each route, in block order, into groups of
+    max(1, _CHUNK_CELLS // (observations x 2**n)) tables, each one kernel call of at
+    most _CHUNK_CELLS cells: the coset route at z = 0, the full route at z < 2**(n-1).
+    A route that takes a whole block reads uncopied views of it.  The max, sum and min
+    in bits and the route counts equal those of per-table equivocation_curve, also over
+    blocks that mix routes; an empty block, and no block at all, fold to nothing."""
     grid = [0.0, 0.07, 0.25, 0.41, 0.5]
     tables = list(enumerate_binnings(2, 1))
-    bits = np.array([equivocation_curve(t, grid).bits for t in tables])
-    routes = [equivocation_curve(t, [0.1]).route for t in tables]
-    blocks = [np.stack([t.array for t in tables[:50]]), np.stack([t.array for t in tables[50:]])]
-    mask, kernel, views, calls = equivocation._coset_mask, equivocation._types, [], []
+    # two blocks that mix routes, one of full-route tables alone, and an empty one
+    parts = [tables[:50], tables[50:], [t for t in tables if not is_coset_table(t)][:8], []]
+    blocks = [np.array([t.array for t in part], dtype=np.uint32).reshape(-1, 2, 4) for part in parts]
+    ensemble = [t for part in parts for t in part]
+    bits = np.array([equivocation_curve(t, grid).bits for t in ensemble])
+    routes = [equivocation_curve(t, [0.1]).route for t in ensemble]
+    mask, kernel, certified, calls = equivocation._coset_mask, equivocation._types, [], []
 
-    def spy_mask(view):
-        views.append(view)
-        return mask(view)
+    def spy_mask(block):
+        certified.append(block)
+        return mask(block)
 
     def spy_kernel(block, zs, n):
         assert block.size * len(zs) <= equivocation._CHUNK_CELLS
-        calls.append((len(views), len(block), zs.tolist()))
+        calls.append((len(certified), len(block), zs.tolist()))
+        if len(certified) == 3:
+            assert np.shares_memory(block, blocks[2])
         return kernel(block, zs, n)
 
-    # 2**9 cells make views of 2**9 >> 5 = 16 tables
+    # 2**9 cells make coset groups of 2**9 // 8 = 64 tables and full groups of
+    # 2**9 // (4 x 8) = 16
     monkeypatch.setattr(equivocation, "_CHUNK_CELLS", 1 << 9)
     monkeypatch.setattr(equivocation, "_coset_mask", spy_mask)
     monkeypatch.setattr(equivocation, "_types", spy_kernel)
     top, total, bottom, counted = ensemble_bits(iter(blocks), 3, grid)
-    assert [len(v) for v in views] == [16, 16, 16, 2, 16, 4]
-    # per view: its coset tables at z = 0, then its other tables at z = 0..3 in one call
-    starts = np.cumsum([0] + [len(v) for v in views])
+    assert len(certified) == len(blocks) and all(c is b for c, b in zip(certified, blocks))
+    # per block: its coset tables at z = 0, then its other tables at z = 0..3, 16 at a time
+    starts = np.cumsum([0] + [len(part) for part in parts])
     want = []
-    for i in range(len(views)):
+    for i in range(len(blocks)):
         mixed = routes[starts[i] : starts[i + 1]]
-        for route, zs in (("coset", [0]), ("full", [0, 1, 2, 3])):
-            if mixed.count(route):
-                want.append((i + 1, mixed.count(route), zs))
+        for route, stride, zs in (("coset", 64, [0]), ("full", 16, [0, 1, 2, 3])):
+            members = mixed.count(route)
+            want += [(i + 1, min(stride, members - g), zs) for g in range(0, members, stride)]
     assert calls == want
-    assert all(v.base is not None and any(np.shares_memory(v, b) for b in blocks) for v in views)
-    assert {"coset", "full"} in [set(routes[i : i + 16]) for i in range(0, 48, 16)]
+    # the first block's full route spans several groups, and its coset route one
+    assert [c[0] for c in calls].count(1) > 2 and (1, routes[:50].count("coset"), [0]) in calls
     assert counted == {"coset": routes.count("coset"), "full": routes.count("full")}
     assert total.dtype == np.longdouble and len(top) == len(total) == len(bottom) == len(grid)
     assert np.allclose(top, bits.max(0), rtol=0, atol=1e-12)
     assert np.allclose(total.astype(float), bits.sum(0), rtol=0, atol=1e-10)
     assert np.allclose(bottom, bits.min(0), rtol=0, atol=1e-12)
-    # an empty ensemble folds to nothing
-    top, total, bottom, counted = ensemble_bits([], 3, grid)
-    assert counted == {"coset": 0, "full": 0} and np.all(top == -np.inf) and np.all(total == 0)
+    # an empty block alone, and no block at all, fold to nothing
+    for empty in ([blocks[3]], []):
+        top, total, bottom, counted = ensemble_bits(empty, 3, grid)
+        assert counted == {"coset": 0, "full": 0} and np.all(top == -np.inf) and np.all(total == 0)
 
 
 def test_certificate_gathers_in_chunks_of_bins(monkeypatch):
