@@ -75,17 +75,22 @@ def hamming_distance(a, b, n=None):
 
 
 def word_rank(words, n):
-    """Rank over GF(2) of a 1-D array of n-bit words.
+    """Rank over GF(2) of the n-bit words on the last axis of `words`, one
+    rank per set: leading axes stack sets (tables), and a 1-D array gives
+    a 0-d rank.
 
-    Gaussian elimination one pivot bit at a time, each step one array
-    operation over all words.
+    Gaussian elimination from the top bit down, each step one array
+    operation over every word of every set.  Once the bits above `bit`
+    are cleared, a set's largest word holds `bit` iff any of its words
+    does, so it is the set's pivot.
     """
-    rank = 0
-    for bit in range(n - 1, -1, -1):
-        has = (words >> bit) & 1 == 1
-        if has.any():
-            words = np.where(has, words ^ words[has.argmax()], words)
-            rank += 1
+    words = np.asarray(words)
+    rank = np.zeros(words.shape[:-1], dtype=np.int64)
+    # no words: rank 0, and no largest word to take
+    for bit in range(n - 1, -1, -1) if words.shape[-1] else ():
+        pivot = words.max(axis=-1, keepdims=True)
+        words = np.where(words >> bit == 1, words ^ pivot, words)
+        rank += pivot[..., 0] >> bit
     return rank
 
 

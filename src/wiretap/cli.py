@@ -8,6 +8,12 @@ floating-point output is rounded to 12 significant digits at record
 construction time so emitted files re-parse to the in-memory values
 exactly.
 
+A call that names a command builds one argument parser, that command's
+own, from the COMMANDS table: the parser the full tree holds for it, so
+help, errors and exit codes are the full tree's.  The full tree is built
+only for anything else (no command, --help, an unknown command) and to
+report words the command does not take.
+
 Exit codes: 0 success, 1 usage, 2 validation or I/O, 3 resource cap.
 """
 
@@ -67,7 +73,8 @@ def parse_grid(text):
         raise UsageError("grid needs at least 2 points")
     if points > GRID_POINTS_CAP:
         raise bitcore.CapExceeded("grid of %d points exceeds cap %d" % (points, GRID_POINTS_CAP))
-    return [float(p) for p in np.linspace(start, stop, points)]
+    # + 0.0 turns -0.0 into 0.0, which would print as "-0"
+    return [float(p) for p in np.linspace(start + 0.0, stop + 0.0, points)]
 
 
 def _grid_from_args(args):
@@ -76,7 +83,7 @@ def _grid_from_args(args):
     if p is not None:
         if not 0.0 <= p <= 1.0:
             raise UsageError("--p must lie in [0, 1]")
-        return [float(p)]
+        return [float(p) + 0.0]  # -0.0 becomes 0.0, as in parse_grid
     return parse_grid(args.p_grid)
 
 
@@ -138,11 +145,13 @@ def _matrix_block(l, k):
 def cmd_ni(args):
     l, k = parse_form(args.form)
     build = ni_code.closed_form_table if args.closed_form else ni_code.standard_table
+    # built first: a form without matrices fails before anything is written
+    matrices = _matrix_block(l, k) if args.emit_matrices else None
     # the table's bytes go out as they are written: never held as text too
     _write(args, bitcore._format_bytes(build(l, k)))
-    if args.emit_matrices:
+    if matrices is not None:
         # the matrices always go to stdout, after a blank line when the table did too
-        sys.stdout.write(("\n" if not args.out else "") + _matrix_block(l, k))
+        sys.stdout.write(("\n" if not args.out else "") + matrices)
     return 0
 
 
@@ -231,63 +240,74 @@ def cmd_counts(args):
     return _write(args, ("\n".join(lines) + "\n").encode())
 
 
+_FORM, _OUT = ("--form", dict(required=True)), ("--out", dict(default=None))
+_CURVE = (
+    ("--p-grid", dict(default="0:0.5:101", help="crossover grid start:stop:points")),
+    ("--p", dict(type=float, default=None, help="single crossover value instead of a grid")),
+    ("--out", dict(default=None, help="output path (stdout when omitted)")),
+    ("--format", dict(choices=["csv", "json"], default="csv")),
+)
+
+# name -> (help line, its arguments in help order as (flag, add_argument
+# keywords)), in the order of the full tree's command list
+COMMANDS = {
+    "limit": ("LP-derived equivocation limit curve", (_FORM, *_CURVE)),
+    "ni": ("emit a constructed code table", (
+        _FORM,
+        ("--closed-form", dict(action="store_true", help="use the Gray-code construction instead of the recursive path")),
+        ("--emit-matrices", dict(action="store_true", help="also dump G and H_T (linear forms only)")),
+        _OUT,
+    )),
+    "equivocation": ("equivocation curve of a table file",
+                     (("--table-in", dict(required=True, help="path of a table in the text format")), *_CURVE)),
+    "matrices": ("generator and parity-check matrices of a linear form", (_FORM, _OUT)),
+    "compare": ("family rate vs limits vs random baselines", (
+        _FORM,
+        ("--samples", dict(type=int, default=baselines.DEFAULT_SAMPLES)),
+        ("--seed", dict(type=int, default=0)),
+        ("--exhaustive", dict(action="store_true", help="enumerate every table of the form instead of sampling")),
+        *_CURVE,
+    )),
+    "counts": ("row counts, code-space size, recursion paths",
+               (_FORM, _OUT, ("--format", dict(choices=["text", "json"], default="text")))),
+}
+
+
+def _command(parser, name):
+    # `parser` given command `name`'s arguments, and its cmd_* as func
+    for flag, options in COMMANDS[name][1]:
+        parser.add_argument(flag, **options)
+    # cmd_* looked up now, not at import, so a wrapped one is the one called
+    parser.set_defaults(func=globals()["cmd_" + name])
+    return parser
+
+
 def build_parser():
+    """The full tree: the top-level parser with every command as a subparser."""
     parser = argparse.ArgumentParser(
         prog="wiretap",
         description="Equivocation workbench for binning codes over a binary symmetric wiretap channel.",
         epilog="exit codes: 0 success, 1 usage, 2 validation or I/O, 3 resource cap",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--p-grid", default="0:0.5:101", help="crossover grid start:stop:points")
-        sp.add_argument("--p", type=float, default=None, help="single crossover value instead of a grid")
-        sp.add_argument("--out", default=None, help="output path (stdout when omitted)")
-        sp.add_argument("--format", choices=["csv", "json"], default="csv")
-
-    sp = sub.add_parser("limit", help="LP-derived equivocation limit curve")
-    sp.add_argument("--form", required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_limit)
-
-    sp = sub.add_parser("ni", help="emit a constructed code table")
-    sp.add_argument("--form", required=True)
-    sp.add_argument("--closed-form", action="store_true", help="use the Gray-code construction instead of the recursive path")
-    sp.add_argument("--emit-matrices", action="store_true", help="also dump G and H_T (linear forms only)")
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_ni)
-
-    sp = sub.add_parser("equivocation", help="equivocation curve of a table file")
-    sp.add_argument("--table-in", required=True, help="path of a table in the text format")
-    common(sp)
-    sp.set_defaults(func=cmd_equivocation)
-
-    sp = sub.add_parser("matrices", help="generator and parity-check matrices of a linear form")
-    sp.add_argument("--form", required=True)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_matrices)
-
-    sp = sub.add_parser("compare", help="family rate vs limits vs random baselines")
-    sp.add_argument("--form", required=True)
-    sp.add_argument("--samples", type=int, default=baselines.DEFAULT_SAMPLES)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--exhaustive", action="store_true", help="enumerate every table of the form instead of sampling")
-    common(sp)
-    sp.set_defaults(func=cmd_compare)
-
-    sp = sub.add_parser("counts", help="row counts, code-space size, recursion paths")
-    sp.add_argument("--form", required=True)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--format", choices=["text", "json"], default="text")
-    sp.set_defaults(func=cmd_counts)
-
+    for name, (text, _) in COMMANDS.items():
+        _command(sub.add_parser(name, help=text), name)
     return parser
 
 
+def _parse(argv):
+    if not argv or argv[0] not in COMMANDS:
+        return build_parser().parse_args(argv)
+    # one parser, the command's own: the full tree's subparser for it, same prog
+    parser = _command(argparse.ArgumentParser(prog="wiretap " + argv[0]), argv[0])
+    args, extra = parser.parse_known_args(argv[1:])
+    # the full tree reports leftover words, under its own usage line
+    return build_parser().parse_args(argv) if extra else args
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:

@@ -229,8 +229,8 @@ def _coset_mask(block):
 
     Every bin's _translates must equal bin 0's, the set T; compared in
     chunks of about _CHUNK_CELLS words, vectorised over tables, and
-    stopped once no table passes.  The GF(2) rank of T runs only for the
-    tables that pass.
+    stopped once no table passes.  The GF(2) rank of T runs once, over
+    the stack of the tables that pass.
     """
     l = block.shape[2].bit_length() - 1
     n = (block.shape[1] << l).bit_length() - 1
@@ -241,8 +241,7 @@ def _coset_mask(block):
         if not ok.any():
             break
         ok &= (_translates(block[:, start : start + step]) == home).all(axis=(1, 2))
-    for b in np.flatnonzero(ok):
-        ok[b] = word_rank(home[b, 0], n) == l
+    ok[ok] = word_rank(home[ok, 0], n) == l
     return ok
 
 

@@ -92,7 +92,7 @@ def gf2_rank(mat):
     width = np.shape(mat)[1]
     if width > 63:
         raise ValueError("gf2_rank takes at most 63 columns, got %d" % width)
-    return word_rank(_words(mat), width)
+    return int(word_rank(_words(mat), width))
 
 
 @dataclass(frozen=True)

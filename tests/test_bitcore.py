@@ -555,3 +555,32 @@ def test_writer_at_the_widths_where_a_words_byte_count_changes(n):
         assert len(text) < 3 << 20
         assert text == format_per_word(t)
         assert tables_equal_ordered(bitcore._parse_canonical(text), t)
+
+
+def _rank_by_insertion(words):
+    # reference: a basis kept by leading bit, one Python int at a time
+    basis = {}
+    for w in map(int, words):
+        while w:
+            top = w.bit_length() - 1
+            if top not in basis:
+                basis[top] = w
+                break
+            w ^= basis[top]
+    return len(basis)
+
+
+def test_word_rank_of_a_stack_is_the_rank_of_each_set():
+    rng = np.random.default_rng(5)
+    for n, size in ((1, 1), (3, 2), (5, 4), (8, 3), (12, 16)):
+        stack = rng.integers(0, 1 << n, size=(4, 3, size), dtype=np.uint32)
+        stack[0, 0] = 0  # rank 0
+        stack[1, 1] = stack[1, 1, :1]  # one word repeated: rank 1 unless it is 0
+        ranks = bitcore.word_rank(stack, n)
+        assert ranks.shape == (4, 3)
+        for idx in np.ndindex(4, 3):
+            want = _rank_by_insertion(stack[idx])
+            assert ranks[idx] == want == bitcore.word_rank(stack[idx], n)
+    # sets with no words rank 0, and so does a stack of no sets
+    assert bitcore.word_rank(np.zeros((3, 0), dtype=np.uint32), 4).tolist() == [0, 0, 0]
+    assert bitcore.word_rank(np.zeros((0, 4), dtype=np.uint32), 4).shape == (0,)

@@ -1,6 +1,11 @@
+import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -432,3 +437,117 @@ def test_read_csv_rows_rejects_foreign_files(tmp_path):
     with pytest.raises(Exception) as exc:
         cli.read_csv_rows(str(path))
     assert "schema" in str(exc.value)
+
+
+def _tree(capsys, argv):
+    # what the full tree of parsers prints for argv, with main's exit code
+    try:
+        cli.build_parser().parse_args(argv)
+        code = None
+    except SystemExit as exc:
+        code = 0 if exc.code == 0 else 1
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+COMMAND_HELP = {
+    "limit": "LP-derived equivocation limit curve",
+    "ni": "emit a constructed code table",
+    "equivocation": "equivocation curve of a table file",
+    "matrices": "generator and parity-check matrices of a linear form",
+    "compare": "family rate vs limits vs random baselines",
+    "counts": "row counts, code-space size, recursion paths",
+}
+
+
+@pytest.mark.parametrize("name", list(COMMAND_HELP))
+def test_each_command_prints_the_full_trees_help_and_errors(capsys, name):
+    required = "--table-in" if name == "equivocation" else "--form"
+    for argv in ([name, "--help"], [name, "--bogus"], [name, required, "x", "--bogus", "y"], [name]):
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == _tree(capsys, argv)
+        assert code == (0 if argv[1:] == ["--help"] else 1)
+    # unknown words are reported under the top-level usage line, as before
+    assert run(capsys, [name, required, "x", "--bogus", "y"])[2].endswith(
+        "wiretap: error: unrecognized arguments: --bogus y\n")
+    assert run(capsys, [name])[2].endswith(
+        "wiretap %s: error: the following arguments are required: %s\n" % (name, required))
+
+
+def test_top_level_calls_keep_their_output_and_exit_codes(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, want in (([], 1), (["--help"], 0), (["nonsense"], 1)):
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == _tree(capsys, argv)
+        assert code == want
+    out = run(capsys, ["--help"])[1]
+    assert out.startswith("usage: wiretap [-h] {limit,ni,equivocation,matrices,compare,counts} ...\n")
+    assert "".join("    %-20s%s\n" % item for item in COMMAND_HELP.items()) in out
+    assert run(capsys, ["nonsense"])[2].endswith("wiretap: error: argument command: invalid choice: 'nonsense' "
+                                                 "(choose from 'limit', 'ni', 'equivocation', 'matrices', "
+                                                 "'compare', 'counts')\n")
+
+
+def test_a_command_call_builds_one_parser_and_calls_the_current_cmd(tmp_path, capsys, monkeypatch):
+    table = tmp_path / "t.txt"
+    table.write_text(format_table(make((1, 1))))
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    code, out, _ = run(capsys, ["equivocation", "--table-in", str(table), "--p", "0.1"])
+    assert code == 0 and out.startswith(cli.CSV_SCHEMA)
+    assert built == ["wiretap equivocation"]
+    # the parser takes cmd_equivocation as it is when the parser is built
+    monkeypatch.setattr(cli, "cmd_equivocation", lambda args: 7)
+    assert run(capsys, ["equivocation", "--table-in", str(table)])[0] == 7
+    # anything else builds the full tree: one parser per command and the top
+    built.clear()
+    run(capsys, ["--help"])
+    assert built == ["wiretap"] + ["wiretap " + name for name in COMMAND_HELP]
+
+
+def test_console_script_reads_sys_argv(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+
+    def call(*argv):
+        return subprocess.run([sys.executable, "-m", "wiretap.cli", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    done = call("ni", "--form", "2,3")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == format_table(ni_code.standard_table(2, 3))
+    done = call("limit", "--form", "1,2", "--bogus")
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.endswith("wiretap: error: unrecognized arguments: --bogus\n")
+
+
+def test_ni_emit_matrices_of_a_form_without_them_writes_nothing(tmp_path, capsys):
+    code, out, err = run(capsys, ["ni", "--form", "0,3", "--emit-matrices"])
+    assert (code, out, err) == (2, "", "error: form (0, 3) has no linear matrix pattern\n")
+    path = tmp_path / "t.txt"
+    code, out, err = run(capsys, ["ni", "--form", "3,2", "--emit-matrices", "--out", str(path)])
+    assert (code, out, err) == (2, "", "error: form (3, 2) has no linear matrix pattern\n")
+    assert not path.exists()
+
+
+def test_negative_zero_crossovers_print_as_zero(tmp_path, capsys):
+    table = tmp_path / "t.txt"
+    table.write_text(format_table(make((1, 1))))
+    cases = (
+        (["equivocation", "--table-in", str(table), "--p", "-0.0"], ["0,0,0"]),
+        (["limit", "--form", "1,2", "--p", "-0.0"], ["0,0"]),
+        (["limit", "--form", "1,2", "--p-grid=-0:-0:2"], ["0,0", "0,0"]),
+        (["limit", "--form", "1,2", "--p-grid", "0:-0:3"], ["0,0", "0,0", "0,0"]),
+        (["limit", "--form", "1,2", "--p-grid=-0:0.5:3"], ["0,0", "0.25,", "0.5,"]),
+    )
+    for argv, rows in cases:
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        lines = out.splitlines()[2:]
+        assert len(lines) == len(rows) and all(line.startswith(row) for line, row in zip(lines, rows))
+        assert "-0" not in out
