@@ -17,6 +17,7 @@ from .equivocation import (
     NotLinearError,
     channel_weights,
     conditional_equivocation,
+    coset_code_curve,
     distance_profile,
     equivocation_curve,
     equivocation_rate,

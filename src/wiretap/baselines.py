@@ -106,10 +106,15 @@ def _enumerate_blocks(l, k):
     """Every ordered table of form (l, k) as (B, 2**k, 2**l) word blocks.
 
     Bins are filled left to right with every possible subset of the
-    remaining words, which enumerates each ordered table exactly once.
-    A space of more than ENUMERATION_LIMIT ordered tables raises
-    ValueError ("past limit") at the first draw, sized by table_count
-    before any factorial is taken.
+    remaining words, which enumerates each ordered table exactly once:
+    bin 1 varies slowest, and each bin's subsets come in
+    itertools.combinations order over the remaining words, ascending.  All
+    tables are built at once, one array step per bin: every partial table
+    is repeated once per index combination of its remaining words, with
+    the chosen words moved in front of the rest, which stay ascending.  A
+    space of more than ENUMERATION_LIMIT ordered tables raises ValueError
+    ("past limit") at the first draw, sized by table_count before any
+    factorial is taken.
     """
     check_form(l, k)
     total, text = table_count(l, k)
@@ -117,19 +122,19 @@ def _enumerate_blocks(l, k):
         raise ValueError("space has %s ordered tables, past limit %d" % (text, ENUMERATION_LIMIT))
     n = l + k
     e = 1 << l
-
-    def fill(remaining):
-        if not remaining:
-            yield []
-            return
-        for combo in itertools.combinations(remaining, e):
-            chosen = set(combo)
-            for tail in fill([w for w in remaining if w not in chosen]):
-                yield [*combo, *tail]
-
-    tables = fill(list(range(1 << n)))
-    while block := list(itertools.islice(tables, _block_size(n))):
-        yield np.array(block, dtype=np.uint32).reshape(-1, 1 << k, e)
+    tables = np.arange(1 << n, dtype=np.uint32)[None]
+    for filled in range(0, 1 << n, e):
+        left = (1 << n) - filled
+        chosen = np.array(list(itertools.combinations(range(left), e)), dtype=np.intp)
+        # each combination, then the remaining indices in order: a permutation of the words left
+        rest = np.ones((len(chosen), left), dtype=bool)
+        rest[np.arange(len(chosen))[:, None], chosen] = False
+        order = np.concatenate([chosen, np.nonzero(rest)[1].reshape(len(chosen), left - e)], axis=1)
+        tables = np.concatenate([np.repeat(tables[:, None, :filled], len(order), axis=1),
+                                 tables[:, filled:][:, order]], axis=2).reshape(-1, 1 << n)
+    size = _block_size(n)
+    for start in range(0, len(tables), size):
+        yield tables[start : start + size].reshape(-1, 1 << k, e)
 
 
 def enumerate_binnings(l, k):

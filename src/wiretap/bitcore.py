@@ -74,24 +74,34 @@ def hamming_distance(a, b, n=None):
     return (a ^ b).bit_count()
 
 
-def word_rank(words, n):
-    """Rank over GF(2) of the n-bit words on the last axis of `words`, one
-    rank per set: leading axes stack sets (tables), and a 1-D array gives
-    a 0-d rank.
+def word_basis(words, n):
+    """A GF(2) basis of the n-bit words on the last axis of `words`, one per
+    set: leading axes stack sets (tables).  Returns an array of shape
+    words.shape[:-1] + (n,) that lists each set's basis words by leading
+    bit, highest first, then zeros; they span the set's words, and their
+    count is its rank (word_rank).
 
-    Gaussian elimination from the top bit down, each step one array
-    operation over every word of every set.  Once the bits above `bit`
-    are cleared, a set's largest word holds `bit` iff any of its words
-    does, so it is the set's pivot.
+    Gaussian elimination, each step one array operation over every word
+    of every set, and one step per basis word: a set's largest word leads
+    with the highest bit any of its words holds, so it is the next basis
+    word, and XOR by it lowers exactly the words that hold that bit.
     """
     words = np.asarray(words)
-    rank = np.zeros(words.shape[:-1], dtype=np.int64)
-    # no words: rank 0, and no largest word to take
-    for bit in range(n - 1, -1, -1) if words.shape[-1] else ():
-        pivot = words.max(axis=-1, keepdims=True)
-        words = np.where(words >> bit == 1, words ^ pivot, words)
-        rank += pivot[..., 0] >> bit
-    return rank
+    basis = np.zeros(words.shape[:-1] + (n,), dtype=words.dtype)
+    # no words: an empty basis, and no largest word to take
+    for step in range(n) if words.shape[-1] else ():
+        pivot = words.max(axis=-1)
+        if not pivot.any():
+            break
+        basis[..., step] = pivot
+        words = np.minimum(words, words ^ pivot[..., None])
+    return basis
+
+
+def word_rank(words, n):
+    """Rank over GF(2) of the n-bit words on the last axis of `words`, one
+    rank per set (a 1-D array gives a 0-d rank): the size of word_basis."""
+    return np.count_nonzero(word_basis(words, n), axis=-1)
 
 
 class CodeTable:
@@ -103,9 +113,12 @@ class CodeTable:
     its problems.  Every table is checked here, once; a form that
     :func:`check_form` refuses is refused before its bins are read, so
     no table past the blocklength cap exists, whichever builder made it.
+    A table never changes, so one slot, `_certificate`, caches what the
+    equivocation module's coset certificate finds at its first use (None
+    until then).
     """
 
-    __slots__ = ("l", "k", "array")
+    __slots__ = ("l", "k", "array", "_certificate")
 
     def __init__(self, l, k, bins):
         check_form(l, k)
@@ -135,6 +148,7 @@ class CodeTable:
         self.l = l
         self.k = k
         self.array = array
+        self._certificate = None
         array.flags.writeable = False
 
     @property

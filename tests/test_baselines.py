@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -93,6 +94,34 @@ def test_enumerate_binnings_small_spaces():
         assert is_partition(t)
     assert len(list(enumerate_binnings(2, 1))) == 70
     assert len(list(enumerate_binnings(1, 2))) == 2520
+
+
+def _enumerate_by_recursion(l, k):
+    """The recursion the array enumeration replaced, in its block layout: bins filled
+    left to right with each combination of the remaining words."""
+    n, e = l + k, 1 << l
+
+    def fill(remaining):
+        if not remaining:
+            yield []
+            return
+        for combo in itertools.combinations(remaining, e):
+            chosen = set(combo)
+            for tail in fill([w for w in remaining if w not in chosen]):
+                yield [*combo, *tail]
+
+    tables = fill(list(range(1 << n)))
+    while block := list(itertools.islice(tables, baselines._block_size(n))):
+        yield np.array(block, dtype=np.uint32).reshape(-1, 1 << k, e)
+
+
+@pytest.mark.parametrize("form", [(0, 1), (1, 1), (0, 2), (2, 1), (1, 2), (0, 3), (3, 1)])
+def test_enumerated_blocks_equal_the_recursion(form):
+    """The array enumeration gives the recursion's tables in its order and its blocks."""
+    got, want = list(baselines._enumerate_blocks(*form)), list(_enumerate_by_recursion(*form))
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
 
 
 def test_enumerate_matches_count_formula():

@@ -584,3 +584,27 @@ def test_word_rank_of_a_stack_is_the_rank_of_each_set():
     # sets with no words rank 0, and so does a stack of no sets
     assert bitcore.word_rank(np.zeros((3, 0), dtype=np.uint32), 4).tolist() == [0, 0, 0]
     assert bitcore.word_rank(np.zeros((0, 4), dtype=np.uint32), 4).shape == (0,)
+
+
+def test_word_basis_leads_with_distinct_bits_and_spans_each_set():
+    """word_basis lists words with distinct leading bits, highest first, then zeros;
+    they span the same words as the set (every word is a sum of them, and each is a
+    sum of the set's words), and their count is word_rank."""
+    rng = np.random.default_rng(7)
+    for n, size in ((1, 2), (4, 3), (6, 5), (9, 4), (12, 16)):
+        stack = rng.integers(0, 1 << n, size=(5, size), dtype=np.uint32)
+        stack[0] = 0
+        stack[1, 1:] = stack[1, :1]
+        basis = bitcore.word_basis(stack, n)
+        assert basis.shape == (5, n) and basis.dtype == stack.dtype
+        assert (np.count_nonzero(basis, axis=1) == bitcore.word_rank(stack, n)).all()
+        for words, rows in zip(stack, basis):
+            rank = int(np.count_nonzero(rows))
+            assert not rows[rank:].any()
+            leads = [int(w).bit_length() for w in rows[:rank]]
+            assert leads == sorted(set(leads), reverse=True)
+            span = {0}
+            for w in rows[:rank].tolist():
+                span |= {s ^ w for s in span}
+            assert set(words.tolist()) <= span and len(span) == 1 << _rank_by_insertion(words)
+    assert bitcore.word_basis(np.zeros((2, 0), dtype=np.uint32), 3).tolist() == [[0, 0, 0]] * 2

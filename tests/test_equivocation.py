@@ -28,6 +28,7 @@ from wiretap.linear_matrices import build_codec, coset_table, is_linear_form
 from wiretap.lp_limit import lp_limit_curve
 from wiretap.ni_code import standard_table
 
+from coset_codes import coset_table_of
 from golden_tables import make
 from posterior_oracle import bin_posteriors_direct
 
@@ -42,6 +43,44 @@ def test_channel_weights_examples():
     assert np.allclose(got, [0.81, 0.09, 0.01], atol=1e-15)
     assert channel_weights(0.0, 4).tolist() == [1, 0, 0, 0, 0]
     assert channel_weights(1.0, 4).tolist() == [0, 0, 0, 0, 1]
+
+
+def _weights_by_loop(p, n):
+    # the per-step loop that _weight_rows' cumulative product replaced
+    gamma = np.zeros(n + 1)
+    if p == 0.0:
+        gamma[0] = 1.0
+        return gamma
+    if p == 1.0:
+        gamma[n] = 1.0
+        return gamma
+    q = 1.0 - p
+    if p > 0.5:
+        gamma[n] = p ** n
+        for d in range(n, 0, -1):
+            gamma[d - 1] = gamma[d] * (q / p)
+        return gamma
+    gamma[0] = q ** n
+    for d in range(n):
+        gamma[d + 1] = gamma[d] * (p / q)
+    return gamma
+
+
+def test_weight_rows_equal_the_step_loop_bit_for_bit():
+    """Every row of _weight_rows, and channel_weights, is bit for bit the loop that
+    multiplies by the ratio one step at a time, at the endpoints, at 1/2, at the
+    smallest subnormal and near 1, and at 200 random crossovers."""
+    rng = random.Random(41)
+    grid = [0.0, 1.0, 0.5, 5e-324, 1e-300, 1 - 1e-16, -0.0] + [rng.random() for _ in range(200)]
+    for n in (1, 5, 12, 24):
+        rows = equivocation._weight_rows(grid, n)
+        assert rows.shape == (len(grid), n + 1)
+        for p, row in zip(grid, rows):
+            want = _weights_by_loop(p, n).tobytes()
+            assert row.tobytes() == want == channel_weights(p, n).tobytes(), (p, n)
+    assert equivocation._weight_rows([], 3).shape == (0, 4)
+    with pytest.raises(ValueError, match="got 1.5"):
+        equivocation._weight_rows([0.2, 1.5], 3)
 
 
 def test_channel_weights_normalization():
@@ -355,7 +394,9 @@ def test_curve_chunks_agree_with_one_pass(monkeypatch):
     past 1e-12 against one pass and the per-word oracle.  A coset table's z = 0 is cut
     into slices of about _CHUNK_CELLS words, one bin at least: at 24 cells the (3,3)
     table spans slices of 3, 3 and 2 bins and the (1,7) table eleven, and at 5 cells
-    every bin of the (3,3) tables is gathered on its own."""
+    every bin of the (3,3) tables is gathered on its own.  The certified (1,7) curve
+    takes no kernel call (its 18 column-type terms undercut its 256 words), so its
+    slices are those of conditional_equivocation at z = 0, which prices them alike."""
     grid = [0.03, 0.2, 0.37, 0.5]
     tables = [next(sample_binning(3, 3, seed=8)), standard_table(3, 3), xor_translate(standard_table(1, 7), 0x5B)]
     whole = [equivocation_curve(t, grid).bits for t in tables]
@@ -372,7 +413,11 @@ def test_curve_chunks_agree_with_one_pass(monkeypatch):
             assert np.allclose(curve.bits, exact, rtol=0, atol=1e-12)
             if curve.route == "coset":
                 width = max(1, cells >> t.l)
-                assert widths == [min(width, len(t.array) - c) for c in range(0, len(t.array), width)]
+                slices = [min(width, len(t.array) - c) for c in range(0, len(t.array), width)]
+                assert widths == ([] if t.l == 1 else slices)
+                widths.clear()
+                assert abs(conditional_equivocation(t, 0, grid[1]) - exact[1]) <= 1e-12
+                assert widths == slices
         assert distance_profile(tables[0], 5).tolist() == profile.tolist()
     assert [equivocation_curve(t, grid).route for t in tables] == ["full", "coset", "coset"]
 
@@ -380,15 +425,17 @@ def test_curve_chunks_agree_with_one_pass(monkeypatch):
 def test_every_gather_stays_within_the_chunk_budget(monkeypatch):
     """Over a 1,001-point grid no kernel call exceeds _CHUNK_CELLS distance cells: it
     takes whole tables at several observations, or one observation of a slice of
-    bins (the (2,15) table's z = 0 in two).  The full route gathers z < 2**(n-1), in
+    bins (the (4,13) table's z = 0 in two).  The two coset tables' generators have
+    so many column types that counting by them would take more terms than the
+    tables have words, so the kernel prices them.  The full route gathers z < 2**(n-1), in
     order, and prices each call's rows also at the reversed weight rows (the
     profiles of the complements z ^ (2**n - 1) are the reversed ones), so every
     observation meets every bin once.  Every call's rows are priced at every grid
     point, in grid order, and no slab holds more than weight rows x profiles of
     about _CHUNK_CELLS >> 4 values, or a single grid row."""
     grid = [float(p) for p in np.linspace(0.0, 0.5, 1001)]
-    tables = [next(sample_binning(2, 5, seed=3)), next(sample_binning(2, 8, seed=3)), standard_table(2, 12),
-              standard_table(2, 15)]
+    tables = [next(sample_binning(2, 5, seed=3)), next(sample_binning(2, 8, seed=3)),
+              coset_table_of(4, range(1, 13)), coset_table_of(4, [*range(1, 16), 3, 5])]
     want = [equivocation_curve(t, grid).bits for t in tables]
     kernel, price, slabs = equivocation._types, equivocation.objective_coefficients, equivocation._block_bits
     calls, priced, yielded = [], [], []
@@ -407,8 +454,8 @@ def test_every_gather_stays_within_the_chunk_budget(monkeypatch):
         priced.append(gamma)
         return price(rows, gamma)
 
-    def spy_slabs(block, coset, gammas, z):
-        for j, bits in slabs(block, coset, gammas, z):
+    def spy_slabs(block, coset, gammas, z, columns=None):
+        for j, bits in slabs(block, coset, gammas, z, columns):
             # a full-route slab prices each of its grid rows twice
             assert bits.shape == (len(priced[-1]) // (1 if coset[0] else 2), 1)
             yielded.append(j)
@@ -478,7 +525,7 @@ def test_ungrouped_profiles_match_the_oracle_in_one_chunk_and_in_many(monkeypatc
 
 
 def test_ensemble_bits_folds_uncopied_kernel_views_of_every_block(monkeypatch):
-    """ensemble_bits certifies each block once (one _coset_mask call) and hands it whole
+    """ensemble_bits certifies each block once (one _certify call) and hands it whole
     to _block_bits, which cuts each route, in block order, into groups of
     max(1, _CHUNK_CELLS // (observations x 2**n)) tables, each one kernel call of at
     most _CHUNK_CELLS cells: the coset route at z = 0, the full route at z < 2**(n-1).
@@ -493,7 +540,7 @@ def test_ensemble_bits_folds_uncopied_kernel_views_of_every_block(monkeypatch):
     ensemble = [t for part in parts for t in part]
     bits = np.array([equivocation_curve(t, grid).bits for t in ensemble])
     routes = [equivocation_curve(t, [0.1]).route for t in ensemble]
-    mask, kernel, certified, calls = equivocation._coset_mask, equivocation._types, [], []
+    mask, kernel, certified, calls = equivocation._certify, equivocation._types, [], []
 
     def spy_mask(block):
         certified.append(block)
@@ -509,7 +556,7 @@ def test_ensemble_bits_folds_uncopied_kernel_views_of_every_block(monkeypatch):
     # 2**9 cells make coset groups of 2**9 // 8 = 64 tables and full groups of
     # 2**9 // (4 x 8) = 16
     monkeypatch.setattr(equivocation, "_CHUNK_CELLS", 1 << 9)
-    monkeypatch.setattr(equivocation, "_coset_mask", spy_mask)
+    monkeypatch.setattr(equivocation, "_certify", spy_mask)
     monkeypatch.setattr(equivocation, "_types", spy_kernel)
     top, total, bottom, counted = ensemble_bits(iter(blocks), 3, grid)
     assert len(certified) == len(blocks) and all(c is b for c, b in zip(certified, blocks))
@@ -556,9 +603,10 @@ def test_certificate_gathers_in_chunks_of_bins(monkeypatch):
     same = [i for i, t in enumerate(tables) if (t.l, t.k) == (2, 4)]
     block = np.stack([tables[i].array for i in same])
     monkeypatch.setattr(equivocation, "_CHUNK_CELLS", 5)
-    assert [is_coset_table(t) for t in tables] == want
+    # fresh copies: a table keeps the verdict of its first certificate
+    assert [is_coset_table(CodeTable(t.l, t.k, t.array)) for t in tables] == want
     # one block of every (2,4) table: coset and non-coset tables side by side
-    assert equivocation._coset_mask(block).tolist() == [want[i] for i in same]
+    assert equivocation._certify(block)[0].tolist() == [want[i] for i in same]
     assert 0 < sum(want[i] for i in same) < len(same)
     assert 10 < sum(want) < len(want) - 10
 
