@@ -14,6 +14,8 @@ two equality notions exist: :func:`tables_equal_ordered` and
 :func:`tables_equal_partition`.
 """
 
+import operator
+
 import numpy as np
 
 N_CAP = 24
@@ -48,11 +50,18 @@ class TableParseError(ValueError):
         super().__init__(message)
 
 
+def check_word(w, n=None, name="word"):
+    """The word rule: w as an int; TypeError unless it is an integer
+    (operator.index), ValueError unless 0 <= w < 2**n (w >= 0 with no n)."""
+    w = operator.index(w)
+    if not 0 <= w < 1 << (w.bit_length() if n is None else n):
+        raise ValueError("%s %d does not fit in %s bits" % (name, w, "any number of" if n is None else n))
+    return w
+
+
 def word_str(w, n):
     """Render word w as an n-character bit string, leftmost bit first."""
-    if not 0 <= w < (1 << n):
-        raise ValueError("word %d does not fit in %d bits" % (w, n))
-    return format(w, "0%db" % n)
+    return format(check_word(w, n), "0%db" % n)
 
 
 def parse_word(s):
@@ -63,15 +72,12 @@ def parse_word(s):
 
 
 def hamming_distance(a, b, n=None):
-    """Number of bit positions where a and b differ.
+    """Number of bit positions where words a and b differ.
 
-    The optional n bounds both words; passing words that do not fit in
-    n bits is a usage error (the length-mismatch case for int words).
+    The optional n bounds both words (check_word); passing words that do
+    not fit in n bits is a usage error (the length-mismatch case for int words).
     """
-    if n is not None:
-        if not 0 <= a < (1 << n) or not 0 <= b < (1 << n):
-            raise ValueError("word does not fit in %d bits" % n)
-    return (a ^ b).bit_count()
+    return (check_word(a, n) ^ check_word(b, n)).bit_count()
 
 
 def word_basis(words, n):
@@ -189,8 +195,8 @@ _INVALID = "invalid code table: "
 def _invalid(l, k, bins):
     # the ValueError for bins that are not a form (l, k) partition, listing
     # every problem a per-word scan finds: wrong bin counts or sizes,
-    # out-of-range words, duplicates, non-integers (with the right counts
-    # and sizes, words in range and none repeated, no word can be missing)
+    # words that break the word rule (check_word), duplicates (with the right
+    # counts and sizes, integer words in range and none repeated, none is missing)
     problems = []
     n = l + k
     if isinstance(bins, np.ndarray) and _word_array(l, k, bins) is not None:
@@ -207,26 +213,27 @@ def _invalid(l, k, bins):
             if len(b) != 1 << l:
                 problems.append("bin %d has %d words, expected %d" % (i + 1, len(b), 1 << l))
         cells = ((i, w) for i, b in enumerate(bins) for w in b)
-    seen = {}
+    seen, integers = {}, True
     for i, w in cells:
-        if not 0 <= w < (1 << n):
-            problems.append("bin %d: word %s does not fit in %d bits" % (i + 1, w, n))
-        elif w in seen:
-            shown = word_str(w, n) if isinstance(w, (int, np.integer)) else repr(w)
-            problems.append("duplicate word %s (bins %d and %d)" % (shown, seen[w], i + 1))
+        try:
+            w = check_word(w, n)
+        except TypeError:
+            integers = False
+        except ValueError as exc:
+            problems.append("bin %d: %s" % (i + 1, exc))
         else:
-            seen[w] = i + 1
-    if not problems:
-        # equal to a partition's words, but not integers (1.0 == 1)
+            if w in seen:
+                problems.append("duplicate word %s (bins %d and %d)" % (word_str(w, n), seen[w], i + 1))
+            seen.setdefault(w, i + 1)
+    if not integers or not problems:
+        # a word that is no integer, or integer words numpy read as no integer array
         problems.append("words must be integers")
     return ValueError(_INVALID + "; ".join(problems))
 
 
 def xor_translate(t, z):
     """XOR every word with z, preserving bin structure.  Involutive."""
-    if not 0 <= z < (1 << t.n):
-        raise ValueError("z does not fit in %d bits" % t.n)
-    return CodeTable._adopt(t.l, t.k, t.array ^ np.uint32(z))
+    return CodeTable._adopt(t.l, t.k, t.array ^ np.uint32(check_word(z, t.n, "observation")))
 
 
 def tables_equal_ordered(a, b):

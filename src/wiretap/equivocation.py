@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bitcore import CapExceeded, word_basis, word_rank
+from .bitcore import CapExceeded, check_word, word_basis, word_rank
 
 
 class NotLinearError(ValueError):
@@ -467,9 +467,11 @@ def coset_code_curve(l, counts, grid):
     No table is built.  The counter (_type_profiles) gives the profiles of
     the bins at z = 0, which equivocation_curve would price for the code's
     table; they are priced as it prices them, in prod_t (counts[t] + 1) x
-    2**l terms however large 2**n is.  ValueError unless counts holds 2**l
-    nonnegative integers whose nonzero types have GF(2) rank l and n > l;
-    CapExceeded past TERM_CAP terms or past n = TYPE_N_CAP, before any work.
+    2**l terms however large 2**n is.  TypeError for a count that is not an
+    integer (operator.index, as for seeds and observations); ValueError
+    unless counts holds 2**l nonnegative counts whose nonzero types have
+    GF(2) rank l and n > l; CapExceeded past TERM_CAP terms or past
+    n = TYPE_N_CAP, before any work.
     """
     if l < 0:
         raise ValueError("need l >= 0, got %d" % l)
@@ -513,15 +515,10 @@ def total_equivocation_linear(t, p):
     return total_equivocation(t, p)
 
 
-def _check_observation(t, z):
-    if not 0 <= z < (1 << t.n):
-        raise ValueError("z does not fit in %d bits" % t.n)
-
-
 def _bin_slices(t, z):
     # z as the kernel's one-observation array, and the slices of t's bins
     # whose profiles at z are gathered one at a time
-    _check_observation(t, z)
+    z = check_word(z, t.n, "observation")
     width = _bins_per_slice(t.array[None])
     return np.array([z], dtype=np.uint32), [slice(c, c + width) for c in range(0, len(t.array), width)]
 
@@ -560,7 +557,7 @@ def conditional_equivocation(t, z, p):
     prices z = 0.  Uses the convention 0 * log 0 = 0.  For p = 0 or p = 1
     the posterior is a point mass and the value is exactly 0.
     """
-    _check_observation(t, z)
+    z = check_word(z, t.n, "observation")
     return float(next(_block_bits(t.array[None], np.ones(1, dtype=bool), _weight_rows([p], t.n), z))[1][0, 0])
 
 

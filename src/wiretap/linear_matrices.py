@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitcore import CodeTable, check_form, word_rank
+from .bitcore import CodeTable, check_form, check_word, word_rank
 
 
 class UnsupportedForm(ValueError):
@@ -138,18 +138,13 @@ def encode(codec, m, v):
 
     Both arguments are ints read MSB-first; x = [m || v] G.
     """
-    if not 0 <= m < (1 << codec.k):
-        raise ValueError("message does not fit in %d bits" % codec.k)
-    if not 0 <= v < (1 << codec.l):
-        raise ValueError("auxiliary word does not fit in %d bits" % codec.l)
-    return int(_times((m << codec.l) | v, codec.G))
+    u = (check_word(m, codec.k, "message") << codec.l) | check_word(v, codec.l, "auxiliary word")
+    return int(_times(u, codec.G))
 
 
 def decode(codec, x):
     """Recover the message: m = x H_T, one parity per column."""
-    if not 0 <= x < (1 << codec.n):
-        raise ValueError("codeword does not fit in %d bits" % codec.n)
-    return int(_times(x, codec.H_T))
+    return int(_times(check_word(x, codec.n, "codeword"), codec.H_T))
 
 
 def coset_table(codec):

@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bitcore import CapExceeded
-from .equivocation import channel_weights, objective_coefficients
+from .equivocation import _weight_rows, channel_weights, objective_coefficients
 
 ROW_CAP = 10_000_000
 
@@ -198,13 +198,12 @@ class LpCurve:
 
 
 def build_lp(n, e, p):
-    """Assemble the LP for blocklength n, bin size e, crossover p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    """Assemble the LP for blocklength n, bin size e, crossover p (checked first)."""
+    gamma = channel_weights(p, n)
     # the candidate rows are held once, as the columns of A: the row-major
     # (n+1, N) buffer they were enumerated into, which pricing streams
     A = enumerate_rows(n, e).T
-    f = objective_coefficients(A.T, channel_weights(p, n))
+    f = objective_coefficients(A.T, gamma)
     b = np.array([math.comb(n, j) for j in range(n + 1)], dtype=float)
     return LpInstance(n=n, e=e, f=f, A=A, b=b)
 
@@ -302,20 +301,20 @@ def lp_limit_curve(l, k, grid):
 
     One sweep in grid order: the LP is built and solved from the
     pure-row vertex at the first interior point, and each later point
-    warm-starts from the previous optimal basis.  Every p is checked
-    before anything is solved; rows are enumerated only if some p lies
-    strictly inside (0, 1), so CapExceeded is raised only then.
+    warm-starts from the previous optimal basis, priced from its row of the
+    grid's weights, which check every p before anything is solved.  Rows
+    are enumerated only if some p lies strictly inside (0, 1), so
+    CapExceeded is raised only then.
     """
     if l < 0 or k < 1:
         raise ValueError("need l >= 0 and k >= 1")
     grid = [float(p) for p in grid]
-    if not all(0.0 <= p <= 1.0 for p in grid):
-        raise ValueError("p must lie in [0, 1]")
     n, e = l + k, 1 << l
+    gammas = _weight_rows(grid, n)
     bits, upper, bases, pivots2 = [], [], [], []
     fallbacks = 0
     inst = basis = None
-    for p in grid:
+    for p, gamma in zip(grid, gammas):
         if p in (0.0, 1.0):
             bits.append(0.0)
             upper.append(0.0)
@@ -325,7 +324,7 @@ def lp_limit_curve(l, k, grid):
         if inst is None:
             inst = build_lp(n, e, p)
         else:
-            inst = replace(inst, f=objective_coefficients(inst.A.T, channel_weights(p, n)))
+            inst = replace(inst, f=objective_coefficients(inst.A.T, gamma))
         sol = solve_lp(inst, basis)
         basis = sol.basis
         bits.append(sol.objective)

@@ -27,6 +27,8 @@ from wiretap.bitcore import (
     xor_translate,
 )
 
+from wiretap.equivocation import bin_posteriors, conditional_equivocation, distance_profile
+from wiretap.linear_matrices import build_codec, decode, encode
 from wiretap.ni_code import closed_form_table, rasba, standard_table
 
 from golden_tables import GOLDEN, make
@@ -70,6 +72,41 @@ def test_hamming_range_check():
         hamming_distance(5, 1, n=2)
     with pytest.raises(ValueError):
         hamming_distance(1, 4, n=2)
+
+
+# every public entry point given a word or an observation, at form (1, 2),
+# n = 3: (its call on the word w, the bits w must fit in, or None when the
+# call bounds w only from below)
+_TABLE = make((1, 2))
+_CODEC = build_codec(1, 2)
+WORD_CALLS = {
+    "word_str": (lambda w: word_str(w, 3), 3),
+    "hamming_distance": (lambda w: hamming_distance(0, w, n=3), 3),
+    "hamming_distance without n": (lambda w: hamming_distance(w, 0), None),
+    "xor_translate": (lambda w: xor_translate(_TABLE, w), 3),
+    "distance_profile": (lambda w: distance_profile(_TABLE, w), 3),
+    "bin_posteriors": (lambda w: bin_posteriors(_TABLE, w, 0.1), 3),
+    "conditional_equivocation": (lambda w: conditional_equivocation(_TABLE, w, 0.1), 3),
+    "encode message": (lambda w: encode(_CODEC, w, 0), 2),
+    "encode auxiliary": (lambda w: encode(_CODEC, 0, w), 1),
+    "decode": (lambda w: decode(_CODEC, w), 3),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(WORD_CALLS))
+def test_every_word_entry_point_applies_the_word_rule(entry):
+    call, n = WORD_CALLS[entry]
+    # a non-integer is refused, not rounded down to the word below it
+    with pytest.raises(TypeError):
+        call(2.5)
+    with pytest.raises(ValueError, match="does not fit"):
+        call(-1)
+    if n is not None:
+        with pytest.raises(ValueError, match="does not fit in %d bits" % n):
+            call(1 << n)
+        # the largest word and numpy integers are words
+        call((1 << n) - 1)
+        call(np.uint32(1))
 
 
 def test_hamming_metric_properties():
@@ -121,6 +158,13 @@ def test_validate_reports_missing_words():
 def test_validate_reports_out_of_range():
     with pytest.raises(ValueError, match="does not fit"):
         CodeTable(1, 1, [[0b00, 0b11], [0b01, 4]])
+
+
+@pytest.mark.parametrize("bins", [[["0"], ["1"]], [[None], [1]], [[0], [1.5]], [[0.0], [0.0]], [[0.5], [5]]])
+def test_validate_reports_non_integer_words(bins):
+    # the per-word scan applies the word rule: no TypeError escapes the table's check
+    with pytest.raises(ValueError, match="^invalid code table: .*words must be integers"):
+        CodeTable(0, 1, bins)
 
 
 def test_validate_reports_bin_count():

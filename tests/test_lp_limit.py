@@ -10,7 +10,7 @@ import scipy.optimize
 from wiretap import lp_limit
 from wiretap.baselines import sample_binning
 from wiretap.bitcore import N_CAP, CapExceeded
-from wiretap.equivocation import channel_weights, distance_profile, equivocation_rate
+from wiretap.equivocation import channel_weights, distance_profile, equivocation_curve, equivocation_rate
 from wiretap.lp_limit import (
     CountMismatch,
     LpInstance,
@@ -27,6 +27,7 @@ from wiretap.lp_limit import (
     selection_satisfies_constraints,
     solve_lp,
 )
+from wiretap.ni_code import standard_table
 
 P_SPOTS = (0.05, 0.15, 0.25, 0.35, 0.45)
 
@@ -325,6 +326,37 @@ def test_curve_certificate_gap():
         assert np.all(gap <= 1e-10), (l, k, gap.max())
         assert np.all(gap >= -1e-12), (l, k, gap.min())
         assert curve.stats()["max_dual_gap"] == float(gap.max())
+
+
+# crossovers at the edges of [0, 1] and beside 1/2, where weights underflow
+# or the ratio p / q is 1 to within one rounding
+EDGE_P = (5e-324, 1e-300, 1e-17, 1e-13, math.nextafter(0.5, 0), math.nextafter(0.5, 1), 1 - 2**-53, 1 - 1e-13)
+
+
+@pytest.mark.parametrize("form", FOUR_FORMS + ((2, 6),))
+def test_upper_bounds_the_family_at_edge_crossovers(form):
+    """Weak duality where the weights are extreme: as one sweep and point by
+    point, every value is finite and the dual bound is at least the
+    family's equivocation."""
+    l, k = form
+    family = equivocation_curve(standard_table(l, k), EDGE_P).bits
+    curves = [lp_limit_curve(l, k, EDGE_P)] + [lp_limit_curve(l, k, [p]) for p in EDGE_P]
+    bits = np.concatenate([c.bits for c in curves])
+    upper = np.concatenate([c.upper for c in curves])
+    assert np.isfinite(bits).all() and np.isfinite(upper).all(), form
+    assert (upper >= np.tile(family, 2)).all(), (form, upper, family)
+
+
+def test_curve_checks_its_grid_before_enumerating_rows(monkeypatch):
+    def refuse(n, e):
+        raise AssertionError("rows enumerated before the grid was checked")
+
+    monkeypatch.setattr(lp_limit, "enumerate_rows", refuse)
+    for grid in ([0.1, 1.5], [1.5], [0.2, float("nan")], [-0.0, -1e-300]):
+        with pytest.raises(ValueError, match="p must lie in"):
+            lp_limit_curve(2, 3, grid)
+    with pytest.raises(ValueError, match="p must lie in"):
+        build_lp(5, 4, 1.5)
 
 
 def test_upper_is_the_dual_certificate_of_the_returned_basis():
