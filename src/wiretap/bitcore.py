@@ -19,11 +19,9 @@ import operator
 import numpy as np
 
 N_CAP = 24
-# bins of text that format_table writes, and _parse_canonical reads, at
-# once: about this many bytes
-_FORMAT_BYTES = 1 << 22
-# the 8 ASCII bits of every byte value, most significant first, as one uint64
-_BYTE_BITS = ((np.arange(256)[:, None] >> np.arange(7, -1, -1) & 1) + ord("0")).astype(np.uint8).view(np.uint64)[:, 0]
+# the unpacked bits that format_table spells, and the text that
+# _parse_canonical reads, at once: about this many bytes
+_FORMAT_BYTES = 1 << 20
 
 
 class CapExceeded(Exception):
@@ -177,10 +175,12 @@ class CodeTable:
 def _word_array(l, k, bins):
     # bins as a (2**k, 2**l) integer array (bins itself when it is one), or
     # None when they have another shape or hold anything but integers that
-    # fit in n = l + k bits
+    # fit in n = l + k bits (read word by word when numpy reads no integers)
     try:
         arr = np.asarray(bins)
-    except (ValueError, OverflowError):
+        if arr.dtype.kind not in "iu":
+            arr = np.asarray([[operator.index(w) for w in b] for b in bins])
+    except (TypeError, ValueError, OverflowError):
         return None
     if arr.shape != (1 << k, 1 << l) or arr.dtype.kind not in "iu":
         return None
@@ -262,12 +262,12 @@ def format_table(t):
     """Serialize to the text format: header 'l k', then one bin per line.
 
     Words are written as n bits separated by single spaces, each bin
-    line ending in a newline.  Each word's bytes are spelled through a
-    256-entry table of 8 ASCII bits, a bounded block of bins at a time,
-    straight into one byte buffer that is decoded once.  The buffer and
-    the str decoded from it are held at once, about twice the text: at
-    n = 20 (a 22 MB text) the call raises peak RSS by about 40 MB.  The
-    CLI's `wiretap ni --out` writes the bytes and never builds the str.
+    line ending in a newline.  A block of words at a time, np.unpackbits
+    spells each word shifted to the top of 32 bits; its first n + 1 bits
+    (a 0 last) are the word and its gap in one byte buffer, decoded once.
+    The buffer and the str decoded from it are held at once, about twice
+    the text: at n = 20 (a 22 MB text) the call raises peak RSS by about
+    40 MB.  The CLI's `wiretap ni --out` writes the bytes and no str.
     """
     return str(memoryview(_format_bytes(t)), "ascii")
 
@@ -275,20 +275,20 @@ def format_table(t):
 def _format_bytes(t):
     # format_table's text as one uint8 buffer of its ASCII bytes
     n = t.n
-    width = (n + 7) // 8
     head = b"%d %d\n" % (t.l, t.k)
     buf = np.empty(len(head) + t.array.size * (n + 1), dtype=np.uint8)
     buf[: len(head)] = np.frombuffer(head, dtype=np.uint8)
-    cells = buf[len(head) :].reshape(t.array.shape + (n + 1,))
-    cells[..., n] = ord(" ")
-    cells[:, -1, n] = ord("\n")
-    step = max(1, _FORMAT_BYTES // (t.array.shape[1] * (n + 1)))
-    for start in range(0, len(t.array), step):
-        block = t.array[start : start + step]
-        # each word's low `width` bytes, most significant first
-        octets = block.astype(">u4").view(np.uint8).reshape(block.shape + (4,))[..., 4 - width :]
-        chars = _BYTE_BITS[octets].view(np.uint8).reshape(block.shape + (8 * width,))
-        cells[start : start + step, :, :n] = chars[..., 8 * width - n :]
+    cells = buf[len(head) :].reshape(-1, n + 1)
+    words = t.array.reshape(-1)
+    # what turns a word's n bits and the 0 after them into its text and a space
+    offset = np.full(n + 1, ord("0"), dtype=np.uint8)
+    offset[n] = ord(" ")
+    step = max(1, _FORMAT_BYTES // 32)  # 32 unpacked bytes a word
+    for start in range(0, len(words), step):
+        # shifted up by 32 - n, a word's n bits lead its 4 big-endian bytes
+        octets = (words[start : start + step] << np.uint32(32 - n)).astype(">u4").view(np.uint8)
+        np.add(np.unpackbits(octets).reshape(-1, 32)[:, : n + 1], offset, out=cells[start : start + step])
+    cells[t.array.shape[1] - 1 :: t.array.shape[1], n] = ord("\n")
     return buf
 
 

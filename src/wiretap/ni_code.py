@@ -11,7 +11,9 @@ l times, then RASBA k - 1 times.
 The same family also has a non-recursive description: the first form of
 each case (k = 1) comes from a flipped reflected Gray code, and the
 remaining message bits are alternating suffix columns enumerated as a
-binary counter.  closed_form_table builds that directly.
+binary counter.  closed_form_table builds that directly.  Those k - 1
+columns are k - 1 RASBA steps: one suffix pass, _suffixes, writes them
+at once behind rasba, standard_table and closed_form_table.
 """
 
 import math
@@ -21,15 +23,18 @@ import numpy as np
 from .bitcore import CodeTable, check_form
 
 
-def _rasba_bins(words):
-    # (B, e) word array -> (2B, e): bin i's children are rows 2i and 2i + 1,
-    # each written straight into the output
-    out = np.empty((2 * len(words), words.shape[1]), dtype=np.uint32)
-    even, odd = out[0::2], out[1::2]
-    np.left_shift(words, 1, out=even)
-    even |= np.arange(words.shape[1], dtype=np.uint32) & 1
-    np.bitwise_xor(even, 1, out=odd)
-    return out
+def _suffixes(words, steps):
+    # (B, e) words -> (B * 2**steps, e), `steps` RASBA steps at once: row
+    # i * 2**steps + t is bin i's words shifted up by `steps` ORed with t at
+    # even positions, 2**steps - 1 - t at odd ones.  Bin 0's rows take the
+    # suffixes, the other bins OR onto them, then bin 0 ORs its own words
+    out = np.empty((len(words), 1 << steps, words.shape[1]), dtype=np.uint32)
+    states = np.arange(1 << steps, dtype=np.uint32)[:, None]
+    out[0, :, 0::2], out[0, :, 1::2] = states, states[::-1]
+    high = words << np.uint32(steps)
+    np.bitwise_or(out[0], high[1:, None, :], out=out[1:])
+    out[0] |= high[0]
+    return out.reshape(-1, words.shape[1])
 
 
 def rasba(t):
@@ -38,10 +43,10 @@ def rasba(t):
     Bin i spawns bins 2i-1 and 2i (1-based).  Within the first child,
     words at odd positions (1st, 3rd, ...) get a 0 appended and words at
     even positions get a 1; the second child does the reverse.  Appends
-    are on the right end.
+    are on the right end: the suffix pass (_suffixes) taken one step.
     """
     check_form(t.l, t.k + 1)
-    return CodeTable._adopt(t.l, t.k + 1, _rasba_bins(t.array))
+    return CodeTable._adopt(t.l, t.k + 1, _suffixes(t.array, 1))
 
 
 def _rahba_bins(words):
@@ -76,16 +81,14 @@ def base_table():
 def standard_table(l, k):
     """Form (l, k) by the standard path: RAHBA l times, RASBA k-1 times.
 
-    Each step maps a partition to a partition; the table is validated
-    once, when it is built from the last step's array.
+    Each step maps a partition to a partition (the k - 1 RASBA steps are
+    one suffix pass); the table is validated once, when it is built.
     """
     check_form(l, k)
     words = base_table().array
     for _ in range(l):
         words = _rahba_bins(words)
-    for _ in range(k - 1):
-        words = _rasba_bins(words)
-    return CodeTable._adopt(l, k, words)
+    return CodeTable._adopt(l, k, _suffixes(words, k - 1))
 
 
 def path_count(from_form, to_form):
@@ -143,16 +146,13 @@ def closed_form_table(l, k):
     2**(k-1) on/off states are enumerated in binary-counter order, and
     the choice of first-form bin is the most significant choice bit, so
     bin order is deterministic.  Row r of a bin flips every suffix column
-    when r is odd, so its suffix is the state XOR (r & 1) * (2**(k-1) - 1).
+    when r is odd, so its suffix is the state XOR (r & 1) * (2**(k-1) - 1):
+    the suffix pass that standard_table ends with.
     """
     if l < 1:
         raise ValueError("need l >= 1 and k >= 1")
     check_form(l, k)
-    ff = _ff_words(l)
-    states = np.arange(1 << (k - 1), dtype=np.uint32)
-    flips = (np.arange(1 << l, dtype=np.uint32) & 1) * np.uint32((1 << (k - 1)) - 1)
-    words = (ff[:, None, :] << (k - 1)) | (states[None, :, None] ^ flips)
-    return CodeTable._adopt(l, k, words.reshape(1 << k, 1 << l))
+    return CodeTable._adopt(l, k, _suffixes(_ff_words(l), k - 1))
 
 
 def opposite_pairing_check(t):

@@ -167,6 +167,21 @@ def test_validate_reports_non_integer_words(bins):
         CodeTable(0, 1, bins)
 
 
+def test_a_nesting_of_integer_words_is_read_as_integers():
+    # numpy reads a uint64 beside Python ints as float64; the words are integers all the same
+    assert CodeTable(1, 1, [[np.uint64(0), 3], [1, 2]]).bins == [[0, 3], [1, 2]]
+    assert CodeTable(1, 1, [[np.uint64(0), np.int64(3)], [np.uint64(1), 2]]).bins == [[0, 3], [1, 2]]
+    assert CodeTable(1, 1, [[np.int64(0), 3], [1, 2]]).bins == [[0, 3], [1, 2]]
+    with pytest.raises(ValueError, match="^invalid code table: .*words must be integers"):
+        CodeTable(1, 1, [[np.uint64(0), 3.0], [1, 2]])
+    with pytest.raises(ValueError, match="^invalid code table: .*words must be integers"):
+        CodeTable(1, 1, [[np.uint64(0), 3], [1, 2.5]])
+    with pytest.raises(ValueError, match="^invalid code table: bin 2: word 4 does not fit in 2 bits$"):
+        CodeTable(1, 1, [[np.uint64(0), 3], [1, 4]])
+    with pytest.raises(ValueError, match="^invalid code table: duplicate word 01 "):
+        CodeTable(1, 1, [[np.uint64(0), 3], [1, 1]])
+
+
 def test_validate_reports_bin_count():
     with pytest.raises(ValueError, match="expected 4 bins"):
         CodeTable(1, 2, [[0, 7], [1, 6], [2, 5]])
@@ -599,6 +614,19 @@ def test_writer_at_the_widths_where_a_words_byte_count_changes(n):
         assert len(text) < 3 << 20
         assert text == format_per_word(t)
         assert tables_equal_ordered(bitcore._parse_canonical(text), t)
+
+
+@pytest.mark.parametrize("n", list(range(1, 17)) + [20])
+def test_format_spells_each_word_at_every_shift(n):
+    """Each word is shifted up by 32 - n before its bits are unpacked: every shift spells word_str."""
+    l = n // 2
+    t = CodeTable(l, n - l, np.random.default_rng(n).permutation(1 << n).reshape(1 << (n - l), 1 << l))
+    text, want = format_table(t), format_per_word(t)
+    # a failure names the first character that differs, not a diff of megabytes
+    first_difference = None if text == want else next(i for i, (a, b) in enumerate(zip(text + "$", want + "$")) if a != b)
+    assert first_difference is None
+    if n == 20:
+        assert tables_equal_ordered(parse_table(text), t)
 
 
 def _rank_by_insertion(words):

@@ -1,11 +1,12 @@
 """Output bytes of paper-facing CLI runs, pinned by their sha256.
 
 The digests are those of the runs as the benchmark makes them (the four
-argvs of bench/worker.py) and of three more: the default-grid limit of
-(3,2), the exhaustive compare of (2,1) and the closed-form (1,3) table
-with its matrices.  A change that moves any byte of these outputs, a
-digit of one value, the row order or the layout, fails here; a change
-meant to move them updates the digest and says why.
+argvs of bench/worker.py) and of five more: the default-grid limit of
+(3,2), the exhaustive compare of (2,1), the closed-form (1,3) table
+with its matrices, and the 22 MB (4,16) table text of both builders.  A
+change that moves any byte of these outputs, a digit of one value, the
+row order or the layout, fails here; a change meant to move them
+updates the digest and says why.
 """
 
 import hashlib
@@ -25,6 +26,10 @@ DIGESTS = {
         "f00cae77cfdca23d094db15cee8fcfbcb558875dbac69f80788c8515729c8fc2",
     ("ni", "--form", "1,3", "--closed-form", "--emit-matrices"):
         "0a52b57e3137f0b046fa9dac3ab44271c5ac3728d92de884e238be0ecb72c931",
+    ("ni", "--form", "4,16"):
+        "ffecbbcb67bc10d12865b23a4c2d9a3d18caea69311bf1d5a5392aeabc39d078",
+    ("ni", "--form", "4,16", "--closed-form"):
+        "ffecbbcb67bc10d12865b23a4c2d9a3d18caea69311bf1d5a5392aeabc39d078",
 }
 
 # `wiretap equivocation --table-in` of the `wiretap ni --form 2,10` table on 41 points

@@ -327,3 +327,18 @@ def test_array_constructions_equal_the_list_recursion():
             if l + k < 14:
                 assert rasba(standard_table(l, k)).bins == rasba_lists(bins)
                 assert rahba(standard_table(l, k)).bins == rahba_lists(bins)
+
+
+@pytest.mark.parametrize("form", [(1, 23), (2, 22), (4, 20), (8, 16)], ids=str)
+def test_wide_builders_equal_the_single_steps(form):
+    """At n = 24 the suffix pass equals k - 1 single RASBA steps after l RAHBA steps, in order."""
+    l, k = form
+    t = base_table()
+    for _ in range(l):
+        t = rahba(t)
+    for _ in range(k - 1):
+        t = rasba(t)
+    built = standard_table(l, k)
+    assert tables_equal_ordered(built, t)
+    del t
+    assert tables_equal_ordered(closed_form_table(l, k), built)
