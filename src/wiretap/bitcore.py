@@ -126,8 +126,9 @@ class CodeTable:
 
     def __init__(self, l, k, bins):
         check_form(l, k)
-        if not isinstance(bins, np.ndarray):
-            bins = [list(b) for b in bins]
+        if not isinstance(bins, np.ndarray) and np.iterable(bins):
+            # read once, as lists; a bin that is no sequence is left for _invalid to name
+            bins = [list(b) if np.iterable(b) else b for b in bins]
         array = _word_array(l, k, bins)
         if array is None:
             raise _invalid(l, k, bins)
@@ -194,7 +195,8 @@ _INVALID = "invalid code table: "
 
 def _invalid(l, k, bins):
     # the ValueError for bins that are not a form (l, k) partition, listing
-    # every problem a per-word scan finds: wrong bin counts or sizes,
+    # every problem a per-word scan finds: wrong bin counts or sizes, bins
+    # that are no sequence of words,
     # words that break the word rule (check_word), duplicates (with the right
     # counts and sizes, integer words in range and none repeated, none is missing)
     problems = []
@@ -207,12 +209,17 @@ def _invalid(l, k, bins):
         cells = zip((at >> l).tolist(), words[at].tolist())
     else:
         bins = bins.tolist() if isinstance(bins, np.ndarray) else bins
-        if len(bins) != 1 << k:
+        if not isinstance(bins, list):
+            problems.append("expected %d bins, found no sequence" % (1 << k))
+            bins = []
+        elif len(bins) != 1 << k:
             problems.append("expected %d bins, found %d" % (1 << k, len(bins)))
         for i, b in enumerate(bins):
-            if len(b) != 1 << l:
+            if not isinstance(b, list):
+                problems.append("bin %d is not a sequence of words" % (i + 1))
+            elif len(b) != 1 << l:
                 problems.append("bin %d has %d words, expected %d" % (i + 1, len(b), 1 << l))
-        cells = ((i, w) for i, b in enumerate(bins) for w in b)
+        cells = ((i, w) for i, b in enumerate(bins) if isinstance(b, list) for w in b)
     seen, integers = {}, True
     for i, w in cells:
         try:

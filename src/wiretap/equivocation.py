@@ -125,6 +125,14 @@ def objective_coefficients(rows, gamma):
     return f
 
 
+def _key_width(base):
+    # the profile-key fit rule: the most distances w with base**w < 2**63, so
+    # counts below base at w distances make one int64 key sum_d c_d base**d;
+    # _types keys a profile of at most w distances whole, and _type_profiles
+    # cuts longer ones into parts of w
+    return next(w for w in itertools.count(1) if base ** (w + 1) >= 1 << 63)
+
+
 def _bins_per_slice(block):
     # bins per slice of a (B, K, 2**l) block: about _CHUNK_CELLS words, one bin at least
     return max(1, _CHUNK_CELLS // (max(1, len(block)) * block.shape[2]))
@@ -156,11 +164,11 @@ def _types(block, zs, n):
     at every observation are tabled once for all B tables when that
     table holds at most _CHUNK_CELLS terms and is shared (the block holds
     more than 2**n words), and computed for the block's own words
-    otherwise.  When a key can pass 2**63 every cell is its own group.
+    otherwise.  Past _key_width distances every cell is its own group.
     Memory is a small multiple of the block's cells.
     """
     base = block.shape[2] + 1
-    if base ** (n + 1) < 1 << 63:
+    if n + 1 <= _key_width(base):
         powers = base ** np.arange(n + 1, dtype=np.int64)
         if len(zs) << n <= _CHUNK_CELLS and block.size > 1 << n:
             terms = powers[np.bitwise_count(np.arange(1 << n, dtype=np.uint32)[:, None] ^ zs)][block]
@@ -218,8 +226,7 @@ def _type_profiles(l, types, m):
     for j, c in enumerate(m.tolist()):
         binomials[j, : c + 1] = [math.comb(c, i) for i in range(c + 1)]
     base = (1 << l) + 1
-    # profile entries per int64 part of the kernel's key: each part stays below 2**62
-    width = max(1, int(62 / math.log2(base)))
+    width = _key_width(base)
     blocks = _type_blocks(l, m)
     for first in blocks:
         digits = np.arange(first, min(first + blocks.step, blocks.stop))[:, None] // stride % radix
@@ -420,10 +427,15 @@ def equivocation_curve(t, grid):
     """
     coset, columns = _certificate(t)
     gammas = _weight_rows(grid, t.n)
-    bits = np.empty(len(gammas))
-    for j, h in _block_bits(t.array[None], coset, gammas, 0, columns):
+    return _curve(_block_bits(t.array[None], coset, gammas, 0, columns), len(gammas), "coset" if coset[0] else "full")
+
+
+def _curve(slabs, points, route):
+    # one table's curve over `points` grid points from its slabs (j, bits)
+    bits = np.empty(points)
+    for j, h in slabs:
         bits[j : j + len(h)] = h[:, 0]
-    return EquivocationCurve(bits, "coset" if coset[0] else "full")
+    return EquivocationCurve(bits, route)
 
 
 def ensemble_bits(blocks, n, grid):
@@ -493,10 +505,7 @@ def coset_code_curve(l, counts, grid):
     if blocks.stop << l > TERM_CAP:
         raise CapExceeded("%d terms exceed the type-count cap %d" % (blocks.stop << l, TERM_CAP))
     gammas = _weight_rows(grid, n)
-    bits = np.empty(len(gammas))
-    for j, h in _slabs(_type_profiles(l, types, m), len(blocks) - 1, 1, gammas, 1, False):
-        bits[j : j + len(h)] = h[:, 0]
-    return EquivocationCurve(bits, "coset")
+    return _curve(_slabs(_type_profiles(l, types, m), len(blocks) - 1, 1, gammas, 1, False), len(gammas), "coset")
 
 
 def total_equivocation(t, p):

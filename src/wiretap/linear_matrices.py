@@ -115,7 +115,8 @@ def _identity_holds(codec):
 
 
 def build_codec(l, k):
-    """Codec for a linear form; raises UnsupportedForm otherwise.
+    """Codec for a linear form with n <= 63 (its words are int64); raises
+    UnsupportedForm for a form with no pattern.
 
     The constructed pair must pass the validity identity and G must be
     invertible; a violation raises PatternViolation naming the form, so
@@ -123,6 +124,8 @@ def build_codec(l, k):
     """
     if l < 0 or k < 1:
         raise ValueError("need l >= 0 and k >= 1")
+    if l + k > 63:
+        raise ValueError("a codec's words are int64: need n = l + k <= 63, got %d" % (l + k))
     if not is_linear_form(l, k):
         raise UnsupportedForm("form (%d, %d) has no linear matrix pattern" % (l, k))
     codec = WiretapCodec(l=l, k=k, G=_generator(l, k), H_T=_parity_check_t(l, k))

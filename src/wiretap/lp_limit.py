@@ -18,8 +18,8 @@ primal simplex; no external solver is involved.  It starts at the
 pure-row vertex (all e words of a bin at one distance d, C(n, d) / e
 such bins): B = e*I, x_B = b / e >= 0.  Only f depends on the crossover
 p, so a curve is one sweep: the rows, A and b are built once, and each
-grid point starts from the previous point's optimal basis, which stays
-feasible.
+interior grid point (LpCurve sets the endpoints) starts from the previous
+point's optimal basis, which stays feasible.
 
 Pricing is Dantzig's rule (largest reduced cost, lowest index on ties);
 after 50 consecutive degenerate pivots it falls back to Bland's rule
@@ -41,7 +41,7 @@ pricing pass that ends the solve.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -168,10 +168,11 @@ class LpSolution:
 class LpCurve:
     """LP optimum over a crossover grid, in the grid's order.
 
-    The endpoints p = 0 and p = 1 are not solved: their value is 0 by
-    convention, which is also the LP optimum, certified by y = 0 (a unit
-    gamma makes every P_i an integer, so every f_i <= 0).  Their basis
-    is None and they add no pivots.
+    The endpoint convention: p = 0 and p = 1 are not solved.  There the
+    observation pins the codeword, and their bits and upper are 0, which
+    is also the LP optimum, certified by y = 0 (a unit gamma makes every
+    P_i an integer, so every f_i <= 0).  Their basis is None and they add
+    no pivots.
     """
 
     n: int
@@ -299,58 +300,36 @@ def solve_lp(inst, basis=None):
 def lp_limit_curve(l, k, grid):
     """LP optimum in bits for form (l, k) at every p of `grid`.
 
-    One sweep in grid order: the LP is built and solved from the
-    pure-row vertex at the first interior point, and each later point
-    warm-starts from the previous optimal basis, priced from its row of the
-    grid's weights, which check every p before anything is solved.  Rows
-    are enumerated only if some p lies strictly inside (0, 1), so
-    CapExceeded is raised only then.
+    The curve is allocated at the endpoint values (LpCurve), and each
+    interior point, in grid order, is solved once into its slot: priced
+    from its row of the grid's weights, which check every p first, and
+    started from the previous point's basis (the pure-row vertex at the
+    first).  Rows are enumerated, and CapExceeded raised, only if some p
+    lies strictly inside (0, 1).
     """
     if l < 0 or k < 1:
         raise ValueError("need l >= 0 and k >= 1")
     grid = [float(p) for p in grid]
     n, e = l + k, 1 << l
     gammas = _weight_rows(grid, n)
-    bits, upper, bases, pivots2 = [], [], [], []
-    fallbacks = 0
-    inst = basis = None
-    for p, gamma in zip(grid, gammas):
-        if p in (0.0, 1.0):
-            bits.append(0.0)
-            upper.append(0.0)
-            bases.append(None)
-            pivots2.append(0)
-            continue
-        if inst is None:
-            inst = build_lp(n, e, p)
-        else:
-            inst = replace(inst, f=objective_coefficients(inst.A.T, gamma))
+    curve = LpCurve(n=n, grid=grid, bits=np.zeros(len(grid)), upper=np.zeros(len(grid)),
+                    bases=[None] * len(grid), candidate_rows=math.comb(e + n, e),
+                    pivots_phase2=[0] * len(grid), bland_fallbacks=0)
+    inside = [i for i, p in enumerate(grid) if 0.0 < p < 1.0]
+    inst = build_lp(n, e, grid[inside[0]]) if inside else None
+    basis = None
+    for i in inside:
+        inst.f = objective_coefficients(inst.A.T, gammas[i])
         sol = solve_lp(inst, basis)
-        basis = sol.basis
-        bits.append(sol.objective)
-        upper.append(sol.upper)
-        bases.append(sol.basis)
-        pivots2.append(sol.pivots_phase2)
-        fallbacks += sol.bland_fallbacks
-    return LpCurve(
-        n=n,
-        grid=grid,
-        bits=np.array(bits),
-        upper=np.array(upper),
-        bases=bases,
-        candidate_rows=math.comb(e + n, e),
-        pivots_phase2=pivots2,
-        bland_fallbacks=fallbacks,
-    )
+        basis = curve.bases[i] = sol.basis
+        curve.bits[i], curve.upper[i], curve.pivots_phase2[i] = sol.objective, sol.upper, sol.pivots_phase2
+        curve.bland_fallbacks += sol.bland_fallbacks
+    return curve
 
 
 def lp_limit_bits(l, k, p):
-    """LP optimum in bits for form (l, k) at crossover p.
-
-    A one-point lp_limit_curve.  At p = 0 or p = 1 the observation pins
-    the codeword, equivocation 0; those endpoints are returned by
-    convention instead of solving a degenerate program.
-    """
+    """LP optimum in bits for form (l, k) at crossover p: a one-point
+    lp_limit_curve, 0 at the endpoints (LpCurve)."""
     return float(lp_limit_curve(l, k, [p]).bits[0])
 
 

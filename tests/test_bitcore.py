@@ -122,6 +122,7 @@ def test_code_table_shape_and_words():
     t = make((2, 1))
     assert t.n == 3
     assert sorted(t.words()) == list(range(8))
+    assert repr(t) == "CodeTable(l=2, k=1, 2 bins)"
     with pytest.raises(ValueError):
         CodeTable(-1, 1, [])
     with pytest.raises(ValueError):
@@ -180,6 +181,19 @@ def test_a_nesting_of_integer_words_is_read_as_integers():
         CodeTable(1, 1, [[np.uint64(0), 3], [1, 4]])
     with pytest.raises(ValueError, match="^invalid code table: duplicate word 01 "):
         CodeTable(1, 1, [[np.uint64(0), 3], [1, 1]])
+
+
+@pytest.mark.parametrize("form, bins, problem", [
+    ((1, 1), [0, 1, 2, 3], "expected 2 bins, found 4; bin 1 is not a sequence of words"),
+    ((1, 1), np.arange(4), "expected 2 bins, found 4; bin 1 is not a sequence of words"),
+    ((0, 1), np.array(5), "expected 2 bins, found no sequence$"),
+    ((1, 1), 5, "expected 2 bins, found no sequence$"),
+    ((1, 1), [[0, 3], 2], "bin 2 is not a sequence of words$"),
+])
+def test_validate_reports_bins_that_are_no_sequence(form, bins, problem):
+    # a bin (or a whole input) that is not a sequence of words is a problem, not a TypeError
+    with pytest.raises(ValueError, match="^invalid code table: " + problem):
+        CodeTable(*form, bins)
 
 
 def test_validate_reports_bin_count():

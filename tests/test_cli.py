@@ -364,6 +364,12 @@ def test_counts_of_huge_codes_print_exactly(capsys):
         assert code == 0 and json.loads(out)["binning_codes"] == codes
 
 
+@pytest.mark.parametrize("count", [1, 12345, 99949, 99950, 99951, 999500, 125, 1235, 1245, 10**20 - 1])
+def test_approx_is_printf_rounding_of_the_exact_count(count):
+    # 99950 and 999500 round half to even up to the next power of ten: 1.00e+05, 1.00e+06
+    assert cli._approx(count) == "%.2e" % count
+
+
 def test_counts_past_the_digit_cap_exit_3_at_once(capsys):
     for form in ("4,8", "13,1", "8,16"):
         for fmt in ("text", "json"):

@@ -58,6 +58,24 @@ def test_unsupported_forms_raise():
         build_codec(1, 0)
 
 
+@pytest.mark.parametrize("form", [(1, 63), (2, 62), (64, 1)])
+def test_build_codec_names_its_own_word_limit(form):
+    # words are int64: n = 64 is refused as the codec's limit, not as gf2_rank's
+    with pytest.raises(ValueError, match="^a codec's words are int64: need n = l \\+ k <= 63, got %d$" % sum(form)):
+        build_codec(*form)
+
+
+@pytest.mark.parametrize("broken, shape, message", [
+    ("_generator", (5, 5), "generator for form \\(2, 3\\) is rank deficient"),
+    ("_parity_check_t", (5, 3), "validity identity fails for form \\(2, 3\\)"),
+])
+def test_build_codec_refuses_a_broken_pattern(monkeypatch, broken, shape, message):
+    # a zero G is rank deficient; a zero H_T makes G . H_T = 0, not [I_k; 0]
+    monkeypatch.setattr(linear_matrices, broken, lambda l, k: np.zeros(shape, dtype=np.int64))
+    with pytest.raises(linear_matrices.PatternViolation, match="^" + message + "$"):
+        build_codec(2, 3)
+
+
 def test_validity_identity_all_supported_small():
     for l, k in SUPPORTED_SMALL:
         codec = build_codec(l, k)

@@ -156,6 +156,43 @@ def test_counter_equals_the_kernel_at_n24_and_on_the_wide_table():
         assert np.allclose(equivocation_curve(t, grid).bits, kernel_curve(t, grid), rtol=1e-12, atol=0)
 
 
+def test_family_column_types_are_l_independent_types_and_k_copies_of_their_xor():
+    """Every standard_table with l >= 1 and n <= 16 (120 forms) is certified with
+    the generator columns of the l unit vectors and k all-ones columns, after a
+    change of basis: n copies of type 1 at l = 1, else l + 1 distinct types of
+    rank l that XOR to zero (so each is the XOR of the other l, which are
+    independent), one held k times and the others once."""
+    forms = [(l, n - l) for n in range(2, 17) for l in range(1, n)]
+    assert len(forms) == 120
+    for l, k in forms:
+        coset, columns = equivocation._certificate(standard_table(l, k))
+        assert coset[0], (l, k)
+        types, m = np.unique(columns[0], return_counts=True)
+        if l == 1:
+            assert types.tolist() == [1] and m.tolist() == [l + k], (l, k)
+            continue
+        assert len(types) == l + 1 and sorted(m.tolist()) == sorted([1] * l + [k]), (l, k)
+        assert np.bitwise_xor.reduce(types) == 0 and _spans(types.tolist(), l), (l, k)
+
+
+def test_counter_equals_the_kernel_at_l3_n24():
+    """standard_table(3, 21): the counter's curve (its certified column types)
+    against the kernel route with the types withheld, within 1e-12 relative."""
+    t = standard_table(3, 21)
+    grid = [0.02, 0.1, 0.25, 0.45]
+    assert terms(t) < 1 << t.n
+    assert np.allclose(equivocation_curve(t, grid).bits, kernel_curve(t, grid), rtol=1e-12, atol=0)
+
+
+def test_one_key_width_rule_for_both_counters():
+    """_key_width(base) is the most distances whose counts make one int64 key:
+    base**w < 2**63 <= base**(w + 1), for every base 2**l + 1 either counter meets."""
+    for l in range(25):
+        base = (1 << l) + 1
+        width = equivocation._key_width(base)
+        assert base ** width < 1 << 63 <= base ** (width + 1), l
+
+
 def test_counter_blocks_stay_within_the_chunk_budget(monkeypatch):
     """With a small _CHUNK_CELLS the counter runs in blocks of at most that many terms
     and profile cells (one tuple at least); merged, they are the kernel's profiles,
@@ -316,6 +353,8 @@ def test_coset_code_curve_refuses_bad_counts_and_stops_at_its_caps():
         coset_code_curve(1, (1.0, 2), [0.1])
     with pytest.raises(ValueError):
         coset_code_curve(1, (1, 2), [1.5])
+    with pytest.raises(ValueError, match="^need l >= 0, got -1$"):
+        coset_code_curve(-1, (1,), [0.1])
     for l, counts in ((4, [8] * 16), (1, (0, equivocation.TYPE_N_CAP + 1)), (16, [1] * (1 << 16))):
         start = time.monotonic()
         with pytest.raises(CapExceeded):
