@@ -19,8 +19,9 @@ import operator
 import numpy as np
 
 N_CAP = 24
-# the unpacked bits that format_table spells, and the text that
-# _parse_canonical reads, at once: about this many bytes
+# about this many bytes at once: the unpacked bits that _format_blocks
+# spells, the text that _parse_canonical reads, and the intp indices
+# through which CodeTable._settle marks a table's words
 _FORMAT_BYTES = 1 << 20
 
 
@@ -145,9 +146,14 @@ class CodeTable:
         return t
 
     def _settle(self, l, k, array):
-        # 2**n words in range are the 2**n words iff a scatter marks each
+        # 2**n words in range are the 2**n words iff a scatter marks each;
+        # through intp indices, a chunk at a time, since numpy scatters
+        # through uint32 indices several times slower
         seen = np.zeros(1 << (l + k), dtype=bool)
-        seen[array] = True
+        flat = array.reshape(-1)
+        step = max(1, _FORMAT_BYTES // 8)
+        for start in range(0, len(flat), step):
+            seen[flat[start : start + step].astype(np.intp)] = True
         if not seen.all():
             raise _invalid(l, k, array)
         self.l = l
@@ -269,34 +275,43 @@ def format_table(t):
     """Serialize to the text format: header 'l k', then one bin per line.
 
     Words are written as n bits separated by single spaces, each bin
-    line ending in a newline.  A block of words at a time, np.unpackbits
-    spells each word shifted to the top of 32 bits; its first n + 1 bits
-    (a 0 last) are the word and its gap in one byte buffer, decoded once.
-    The buffer and the str decoded from it are held at once, about twice
-    the text: at n = 20 (a 22 MB text) the call raises peak RSS by about
-    40 MB.  The CLI's `wiretap ni --out` writes the bytes and no str.
+    line ending in a newline.  The text grows by one decoded block of
+    :func:`_format_blocks` at a time, and CPython resizes a str that only
+    this call holds in place, so beside the text the call holds about
+    two blocks (the spelled block and its str), not a second copy of the
+    text: at n = 20 a traced peak of 23.4 MB for a 22.0 MB text.
     """
-    return str(memoryview(_format_bytes(t)), "ascii")
+    text = ""
+    for block in _format_blocks(t):
+        text += str(memoryview(block), "ascii")
+    return text
 
 
-def _format_bytes(t):
-    # format_table's text as one uint8 buffer of its ASCII bytes
-    n = t.n
-    head = b"%d %d\n" % (t.l, t.k)
-    buf = np.empty(len(head) + t.array.size * (n + 1), dtype=np.uint8)
-    buf[: len(head)] = np.frombuffer(head, dtype=np.uint8)
-    cells = buf[len(head) :].reshape(-1, n + 1)
+def _format_blocks(t):
+    # format_table's text as ASCII blocks: the header's bytes, then the
+    # words a block of about _FORMAT_BYTES unpacked bits at a time, each
+    # spelled into one reused uint8 buffer (a block is valid until the
+    # next is asked for).  np.unpackbits spells a word's 4 big-endian
+    # bytes as 32 bytes of bits; its last n are the word, copied out as
+    # one V{n} item and ORed with "0", followed by its gap.
+    yield b"%d %d\n" % (t.l, t.k)
+    n, width = t.n, t.array.shape[1]
     words = t.array.reshape(-1)
-    # what turns a word's n bits and the 0 after them into its text and a space
-    offset = np.full(n + 1, ord("0"), dtype=np.uint8)
-    offset[n] = ord(" ")
     step = max(1, _FORMAT_BYTES // 32)  # 32 unpacked bytes a word
+    buf = np.empty(min(step, len(words)) * (n + 1), dtype=np.uint8)
     for start in range(0, len(words), step):
-        # shifted up by 32 - n, a word's n bits lead its 4 big-endian bytes
-        octets = (words[start : start + step] << np.uint32(32 - n)).astype(">u4").view(np.uint8)
-        np.add(np.unpackbits(octets).reshape(-1, 32)[:, : n + 1], offset, out=cells[start : start + step])
-    cells[t.array.shape[1] - 1 :: t.array.shape[1], n] = ord("\n")
-    return buf
+        block = words[start : start + step]
+        bits = np.unpackbits(block.astype(">u4").view(np.uint8))
+        cells = buf[: len(block) * (n + 1)]
+        spelled = np.ndarray(len(block), dtype="V%d" % n, buffer=cells, strides=(n + 1,))
+        spelled[...] = np.ndarray(len(block), dtype="V%d" % n, buffer=bits, offset=32 - n, strides=(32,))
+        del bits  # not held while the block is consumed
+        cells |= np.uint8(ord("0"))
+        # the gaps by global word index: a block may end inside a bin
+        gaps = cells[n :: n + 1]
+        gaps[...] = ord(" ")
+        gaps[(width - 1 - start) % width :: width] = ord("\n")
+        yield cells
 
 
 def parse_table(text):

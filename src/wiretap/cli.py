@@ -87,14 +87,14 @@ def _grid_from_args(args):
     return parse_grid(args.p_grid)
 
 
-def _write(args, data):
-    """Write bytes to --out, or to stdout when it is absent."""
+def _write(args, chunks):
+    """Write byte chunks, in order, to --out, or to stdout when it is absent."""
     if args.out:
         with open(args.out, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
     else:
         sys.stdout.flush()
-        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.writelines(chunks)
     return 0
 
 
@@ -112,7 +112,7 @@ def _emit(args, header, rows, meta):
         for row in rows:
             writer.writerow(["%.12g" % v if isinstance(v, float) else str(v) for v in row])
         text = buf.getvalue()
-    return _write(args, text.encode())
+    return _write(args, [text.encode()])
 
 
 def read_csv_rows(path):
@@ -147,8 +147,8 @@ def cmd_ni(args):
     build = ni_code.closed_form_table if args.closed_form else ni_code.standard_table
     # built first: a form without matrices fails before anything is written
     matrices = _matrix_block(l, k) if args.emit_matrices else None
-    # the table's bytes go out as they are written: never held as text too
-    _write(args, bitcore._format_bytes(build(l, k)))
+    # the table's text goes out a block at a time: never held whole
+    _write(args, bitcore._format_blocks(build(l, k)))
     if matrices is not None:
         # the matrices always go to stdout, after a blank line when the table did too
         sys.stdout.write(("\n" if not args.out else "") + matrices)
@@ -173,7 +173,7 @@ def cmd_equivocation(args):
 
 def cmd_matrices(args):
     l, k = parse_form(args.form)
-    return _write(args, ("form %d,%d\n" % (l, k) + _matrix_block(l, k)).encode())
+    return _write(args, [("form %d,%d\n" % (l, k) + _matrix_block(l, k)).encode()])
 
 
 def cmd_compare(args):
@@ -236,8 +236,8 @@ def cmd_counts(args):
     if args.format == "json":
         payload = {"schema": 1, "form": "%d,%d" % (l, k), "candidate_rows": candidates,
                    "binning_codes": codes, "paths_from_1_1": paths}
-        return _write(args, (json.dumps(payload, indent=2) + "\n").encode())
-    return _write(args, ("\n".join(lines) + "\n").encode())
+        return _write(args, [(json.dumps(payload, indent=2) + "\n").encode()])
+    return _write(args, [("\n".join(lines) + "\n").encode()])
 
 
 _FORM, _OUT = ("--form", dict(required=True)), ("--out", dict(default=None))

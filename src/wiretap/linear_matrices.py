@@ -1,8 +1,11 @@
 """Generator and parity-check matrices for the linear forms.
 
-The family is linear when l = 1 (any k), when l is even (any k), and for
-the lone odd case (3, 1).  For those shapes the n x n generator G and
-the n x k transposed parity-check H_T follow fixed entry patterns; a
+Published entry patterns exist only for l = 1 (any k), for even l (any
+k), and for the lone odd case (3, 1); the family's tables are coset
+tables at other forms too (the certificate holds for every standard
+table with n <= 24, (3, 2), (5, 3) and (7, 9) among them), but no
+pattern for them is built here.  For those shapes the n x n generator G
+and the n x k transposed parity-check H_T follow fixed entry patterns; a
 built codec is checked to satisfy G . H_T = [I_k ; 0] over GF(2), which
 makes message recovery from a codeword a single matrix multiply.
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitcore import CapExceeded
+from .bitcore import CapExceeded, check_form
 from .equivocation import _weight_rows, channel_weights, objective_coefficients
 
 ROW_CAP = 10_000_000
@@ -304,11 +304,12 @@ def lp_limit_curve(l, k, grid):
     interior point, in grid order, is solved once into its slot: priced
     from its row of the grid's weights, which check every p first, and
     started from the previous point's basis (the pure-row vertex at the
-    first).  Rows are enumerated, and CapExceeded raised, only if some p
-    lies strictly inside (0, 1).
+    first).  The form is checked first (check_form: CapExceeded past the
+    blocklength cap, where the solver's tolerances are not proved to hold);
+    rows are enumerated, and the row cap checked, only if some p lies
+    strictly inside (0, 1).
     """
-    if l < 0 or k < 1:
-        raise ValueError("need l >= 0 and k >= 1")
+    check_form(l, k)
     grid = [float(p) for p in grid]
     n, e = l + k, 1 << l
     gammas = _weight_rows(grid, n)

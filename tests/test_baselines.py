@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -23,6 +22,7 @@ from wiretap.equivocation import equivocation_curve, total_equivocation
 from wiretap.ni_code import standard_table
 
 from partition_check import is_partition
+from traced_peak import peak_bytes
 
 
 def test_sampler_yields_valid_tables():
@@ -231,14 +231,7 @@ def test_compare_form_memory_does_not_grow_with_samples():
     """Over 1,001 points the traced peak of 400 tables stays within 10% of 20 tables'."""
     grid = [float(p) for p in np.linspace(0.0, 0.5, 1001)]
     compare_form(1, 1, grid, samples=2, seed=0)  # first-call allocations are not the point
-    peaks = []
-    for samples in (20, 400):
-        tracemalloc.start()
-        try:
-            compare_form(1, 1, grid, samples=samples, seed=0)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [peak_bytes(lambda: compare_form(1, 1, grid, samples=samples, seed=0)) for samples in (20, 400)]
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
 

@@ -1,6 +1,5 @@
 import itertools
 import random
-import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wiretap import bitcore
+from wiretap import bitcore, cli
 from wiretap.baselines import enumerate_binnings, sample_binning
 from wiretap.bitcore import (
     N_CAP,
@@ -33,6 +32,7 @@ from wiretap.ni_code import closed_form_table, rasba, standard_table
 
 from golden_tables import GOLDEN, make
 from partition_check import is_partition
+from traced_peak import peak_bytes
 
 
 def test_word_str_examples():
@@ -267,8 +267,8 @@ def test_equality_at_n_20_holds_no_copy_of_the_bins_as_lists():
     words = 4 << 20
     # a bool per word to compare in order; a sorted copy of each table, and one
     # transient reordering, up to bin order
-    assert _peak_bytes(lambda: tables_equal_ordered(a, b)) <= words / 2
-    assert _peak_bytes(lambda: tables_equal_partition(a, b)) <= 4 * words
+    assert peak_bytes(lambda: tables_equal_ordered(a, b)) <= words / 2
+    assert peak_bytes(lambda: tables_equal_partition(a, b)) <= 4 * words
 
 
 def test_format_parse_round_trip():
@@ -523,22 +523,13 @@ def test_code_table_never_aliases_or_freezes_a_callers_array():
         assert not t.array.flags.writeable and is_partition(t)
 
 
-def _peak_bytes(call):
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_build_memory_is_its_output_plus_the_last_input():
     """standard_table(4,16) writes each growth step into its output and keeps it uncopied."""
     standard_table(4, 16)  # first-call allocations are not the point
     words = 4 << 20
     # the last RASBA step holds its 2 MB input and 4 MB output; steps through two 2 MB
     # temporaries and a constructor copying the output peak at 10 MB
-    assert _peak_bytes(lambda: standard_table(4, 16)) <= 1.75 * words
+    assert peak_bytes(lambda: standard_table(4, 16)) <= 1.75 * words
 
 
 def test_canonical_reader_holds_one_block_of_text_at_a_time(monkeypatch):
@@ -546,11 +537,71 @@ def test_canonical_reader_holds_one_block_of_text_at_a_time(monkeypatch):
     text = format_table(t)
     monkeypatch.setattr(bitcore, "_FORMAT_BYTES", 1 << 16)
     bitcore._parse_canonical(text)
-    peak = _peak_bytes(lambda: bitcore._parse_canonical(text))
+    peak = peak_bytes(lambda: bitcore._parse_canonical(text))
     # the words, the scatter that validates them, and two block-sized buffers (the
     # text slice and its bytes, then the bytes and the bits) with a margin; the
     # 1.1 MB text is never copied whole
     assert peak <= t.array.nbytes + (1 << t.n) + 3 * bitcore._FORMAT_BYTES < len(text), peak
+
+
+def test_writer_holds_the_text_and_a_few_blocks(monkeypatch, tmp_path):
+    """format_table grows its str a block at a time, with no whole-text buffer beside it;
+    `wiretap ni --out` writes the blocks and never holds the text at all."""
+    t = standard_table(2, 14)
+    text = format_table(t)
+    monkeypatch.setattr(bitcore, "_FORMAT_BYTES", 1 << 16)
+    bound = len(text) + 3 * bitcore._FORMAT_BYTES
+    # the 1.06 MB text decoded from a whole-text buffer peaked at 2.13 MB
+    assert peak_bytes(lambda: format_table(t), warm=True) <= bound < 2 * len(text)
+    out = tmp_path / "table.txt"
+    assert peak_bytes(lambda: cli.main(["ni", "--form", "2,14", "--out", str(out)]), warm=True) <= bound
+    assert out.read_text() == text
+
+
+class _Words:
+    # the fields the writer reads, over rows of n-bit words that need not be a
+    # table: the writer spells any words, so every n up to N_CAP is cheap to check
+    def __init__(self, l, n, bins, seed):
+        words = np.random.default_rng(seed).integers(0, 1 << n, size=(bins, 1 << l), dtype=np.uint32)
+        words[0, 0], words[-1, -1] = 0, (1 << n) - 1
+        self.l, self.k, self.n, self.array, self.bins = l, n - l, n, words, words.tolist()
+
+
+@pytest.mark.parametrize("n", range(1, N_CAP + 1))
+def test_writer_blocks_spell_the_per_word_text_at_every_blocklength(n, monkeypatch):
+    """Blocks of three words end inside bins of 2, 4 and 8 words and span them."""
+    monkeypatch.setattr(bitcore, "_FORMAT_BYTES", 3 * 32)
+    for l in range(min(n, 4)):
+        words = _Words(l, n, 7, seed=n)
+        assert format_table(words) == format_per_word(words), (n, l)
+
+
+def test_writer_spans_a_bin_wider_than_a_block(monkeypatch):
+    monkeypatch.setattr(bitcore, "_FORMAT_BYTES", 5 * 32)
+    for t in (standard_table(5, 1), standard_table(4, 2), next(sample_binning(6, 1, seed=4))):
+        assert 1 << t.l > 5
+        text = format_table(t)
+        assert text == format_per_word(t)
+        assert tables_equal_ordered(parse_table(text), t)
+
+
+@pytest.mark.parametrize("at, source", [(1, 3), (4, 5), (30, 31), (2, 20), (5, 17), (31, 8), (12, 0)])
+def test_the_chunked_check_names_a_repeat_anywhere(at, source, monkeypatch):
+    """The check marks words a chunk of five at a time (the last holds two): a word
+    repeated, and the word it displaces thereby missing, in the first chunk, across a
+    chunk edge or in the last chunk, gives the per-word scan's message."""
+    monkeypatch.setattr(bitcore, "_FORMAT_BYTES", 5 * 8)
+    words = standard_table(2, 3).array.copy()
+    flat = words.reshape(-1)
+    flat[at] = flat[source]
+    want = str(bitcore._invalid(2, 3, words.tolist()))
+    assert want.startswith("invalid code table: duplicate word %s (bins " % word_str(int(flat[source]), 5))
+    with pytest.raises(ValueError) as exc:
+        CodeTable(2, 3, words)
+    assert str(exc.value) == want
+    with pytest.raises(ValueError) as exc:
+        CodeTable._adopt(2, 3, words)
+    assert str(exc.value) == want
 
 
 def _scanner_outcome(text):

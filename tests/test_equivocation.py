@@ -1,6 +1,5 @@
 import math
 import random
-import tracemalloc
 
 import mpmath
 import numpy as np
@@ -31,6 +30,7 @@ from wiretap.ni_code import standard_table
 from coset_codes import coset_table_of
 from golden_tables import make
 from posterior_oracle import bin_posteriors_direct
+from traced_peak import peak_bytes
 
 
 def entropy_bits(probs):
@@ -611,16 +611,6 @@ def test_certificate_gathers_in_chunks_of_bins(monkeypatch):
     assert 10 < sum(want) < len(want) - 10
 
 
-def _peak_bytes(call):
-    call()  # first-call allocations are not the point
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_coset_route_memory_is_a_few_chunks_at_any_blocklength():
     """Beside the table, is_coset_table holds at most 8, and a two-point curve and
     conditional_equivocation at z = 5 at most 32 bytes per _CHUNK_CELLS cell (0.5 and
@@ -631,11 +621,11 @@ def test_coset_route_memory_is_a_few_chunks_at_any_blocklength():
     for form in ((2, 14), (2, 18), (4, 12), (4, 16)):
         t = standard_table(*form)
         assert (((1 << t.l) + 1) ** (t.n + 1) < 1 << 63) == (t.l == 2)
-        assert _peak_bytes(lambda: is_coset_table(t)) <= 8 * equivocation._CHUNK_CELLS
-        assert _peak_bytes(lambda: equivocation_curve(t, [0.1, 0.3])) <= 32 * equivocation._CHUNK_CELLS
-        assert _peak_bytes(lambda: conditional_equivocation(t, 5, 0.1)) <= 32 * equivocation._CHUNK_CELLS
+        assert peak_bytes(lambda: is_coset_table(t), warm=True) <= 8 * equivocation._CHUNK_CELLS
+        assert peak_bytes(lambda: equivocation_curve(t, [0.1, 0.3]), warm=True) <= 32 * equivocation._CHUNK_CELLS
+        assert peak_bytes(lambda: conditional_equivocation(t, 5, 0.1), warm=True) <= 32 * equivocation._CHUNK_CELLS
         output = 8 * len(t.array)
-        assert _peak_bytes(lambda: bin_posteriors(t, 5, 0.1)) <= output + 64 * equivocation._CHUNK_CELLS
+        assert peak_bytes(lambda: bin_posteriors(t, 5, 0.1), warm=True) <= output + 64 * equivocation._CHUNK_CELLS
 
 
 def test_curve_rejects_invalid_tables_and_crossovers():

@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from wiretap.ni_code import standard_table
 
 from golden_tables import GOLDEN_G, GOLDEN_H_T, make
 from partition_check import is_partition
+from traced_peak import peak_bytes
 
 SUPPORTED_SMALL = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (3, 1), (4, 1), (4, 2)]
 
@@ -168,13 +168,8 @@ def test_syndrome_check_detects_corruption(monkeypatch):
 def test_syndrome_check_memory_is_a_few_passes_over_the_codewords():
     """At (2,16) the traced peak stays within four uint32 passes over the 2**18 codewords."""
     codec = build_codec(2, 16)
-    syndrome_check(codec)  # first-call allocations are not the point
-    tracemalloc.start()
-    try:
-        assert syndrome_check(codec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    assert syndrome_check(codec)  # first-call allocations are not the point
+    peak = peak_bytes(lambda: syndrome_check(codec))
     # the parent's broadcast against all 16 column words peaked at 69 MB
     assert peak <= 4 * 4 << codec.n, peak
 

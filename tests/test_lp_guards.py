@@ -5,7 +5,18 @@ import numpy as np
 import pytest
 
 from wiretap import lp_limit
-from wiretap.lp_limit import CountMismatch, LpInstance, SimplexError, appendix_count, build_lp, solve_lp
+from wiretap.bitcore import N_CAP, CapExceeded
+from wiretap.lp_limit import (
+    CountMismatch,
+    LpInstance,
+    SimplexError,
+    appendix_count,
+    build_lp,
+    lp_limit_curve,
+    optimal_rows_l1,
+    selection_objective,
+    solve_lp,
+)
 
 
 def test_appendix_count_refuses_formulas_that_disagree(monkeypatch):
@@ -38,3 +49,18 @@ def test_the_pivot_guard_stops_a_solve_that_runs_past_it(monkeypatch):
     monkeypatch.setattr(lp_limit, "_MAX_PIVOTS", 1)
     with pytest.raises(SimplexError, match="^pivot guard tripped after 1 iterations$"):
         solve_lp(inst)
+
+
+def test_the_curve_refuses_a_form_past_the_blocklength_cap_before_any_row(monkeypatch):
+    """Past n = N_CAP the solver's tolerances no longer hold ((1,46) came out 15.9 bits
+    loose), so the form is refused as the table builders refuse it; (1,23) still solves."""
+    solved = lp_limit_curve(1, N_CAP - 1, [0.1]).bits[0]
+    assert abs(solved - selection_objective(optimal_rows_l1(N_CAP), N_CAP, 0.1)) < 1e-4
+
+    def no_rows(n, e):
+        raise AssertionError("rows enumerated for (%d, %d)" % (n, e))
+
+    monkeypatch.setattr(lp_limit, "enumerate_rows", no_rows)
+    for k in (N_CAP, 46):
+        with pytest.raises(CapExceeded, match="^blocklength %d exceeds cap %d$" % (k + 1, N_CAP)):
+            lp_limit_curve(1, k, [0.1])

@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,6 +27,8 @@ from wiretap.lp_limit import (
     solve_lp,
 )
 from wiretap.ni_code import standard_table
+
+from traced_peak import peak_bytes
 
 P_SPOTS = (0.05, 0.15, 0.25, 0.35, 0.45)
 
@@ -101,13 +102,8 @@ def test_build_lp_shapes_and_rhs():
 def test_build_lp_holds_the_rows_once():
     """At (4,1) the traced peak of build_lp stays within 1.8 times A.nbytes: the
     candidate rows are enumerated as the float columns of A, with no integer copy."""
-    build_lp(5, 16, 0.1)  # first-call allocations are not the point
-    tracemalloc.start()
-    try:
-        inst = build_lp(5, 16, 0.1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    inst = build_lp(5, 16, 0.1)  # first-call allocations are not the point
+    peak = peak_bytes(lambda: build_lp(5, 16, 0.1))
     assert inst.A.shape == (6, 20349) and inst.A.dtype == np.float64
     assert peak <= 1.8 * inst.A.nbytes, (peak, inst.A.nbytes)
 
@@ -124,13 +120,8 @@ def test_solve_prices_into_one_buffer():
     stays below 1.5 N-length float arrays: the reduced costs of every pivot
     share one buffer."""
     inst = build_lp(5, 16, 0.2)
-    solve_lp(inst)  # first-call allocations are not the point
-    tracemalloc.start()
-    try:
-        sol = solve_lp(inst)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    sol = solve_lp(inst)  # first-call allocations are not the point
+    peak = peak_bytes(lambda: solve_lp(inst))
     size = inst.A.shape[1] * 8
     assert sol.pivots_phase2 > 0
     assert peak < 1.5 * size, (peak / size)
@@ -141,13 +132,8 @@ def test_objective_holds_one_buffer_beside_the_masses():
     float arrays: the masses P and -P log2 P in one buffer beside them."""
     inst = build_lp(5, 16, 0.2)
     gamma = channel_weights(0.2, 5)
-    objective_coefficients(inst.A.T, gamma)
-    tracemalloc.start()
-    try:
-        f = objective_coefficients(inst.A.T, gamma)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    f = objective_coefficients(inst.A.T, gamma)
+    peak = peak_bytes(lambda: objective_coefficients(inst.A.T, gamma))
     size = inst.A.shape[1] * 8
     assert np.array_equal(f, inst.f)
     assert peak < 2.5 * size, (peak / size)

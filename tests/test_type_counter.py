@@ -26,6 +26,7 @@ from wiretap.equivocation import (
 from wiretap.ni_code import closed_form_table, standard_table
 
 from coset_codes import columns_of, compositions, coset_table_of
+from traced_peak import peak_bytes
 
 GRID = [0.0, 0.02, 0.1, 0.25, 0.45, 0.5, 0.8, 1.0]
 
@@ -385,15 +386,7 @@ def test_uncached_certificate_memory_is_a_few_chunks():
     the certificate itself, run afresh on the table's words, holds at most 8 bytes
     per _CHUNK_CELLS cell beside the table from n = 16 to n = 20, as the test of the
     coset route's memory asks of is_coset_table."""
-    import tracemalloc
-
     for form in ((2, 14), (2, 18), (4, 12), (4, 16)):
         t = standard_table(*form)
-        equivocation._certify(t.array[None])  # first-call allocations are not the point
-        tracemalloc.start()
-        try:
-            equivocation._certify(t.array[None])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(lambda: equivocation._certify(t.array[None]), warm=True)
         assert peak <= 8 * equivocation._CHUNK_CELLS, (form, peak)
