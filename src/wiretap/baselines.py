@@ -162,12 +162,16 @@ def binning_code_count(l, k):
 
 
 def binary_entropy(p):
-    """h2(p) in bits, with h2(0) = h2(1) = 0."""
+    """h2(p) in bits, with h2(0) = h2(1) = 0: at a = min(p, 1 - p), exact for
+    p >= 1/2, -a log2 a - (1 - a) log1p(-a) / ln 2, so no rounded 1 - p
+    costs digits near p = 0 or 1.  p is read as its Python float."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    if p in (0.0, 1.0):
+    p = float(p)
+    a = min(p, 1.0 - p)
+    if a == 0.0:
         return 0.0
-    return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
+    return -a * math.log2(a) - (1.0 - a) * math.log1p(-a) / math.log(2.0)
 
 
 def infinite_blocklength_limit(p, rate):

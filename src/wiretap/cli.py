@@ -192,17 +192,9 @@ def cmd_compare(args):
     if beaten:
         # a baseline landing above the construction is a finding, not an error
         sys.stderr.write("WARNING: baseline exceeds the family rate at p = %s\n" % beaten)
-    meta = {
-        "command": "compare",
-        "form": "%d,%d" % (l, k),
-        "samples": record["samples"],
-        "seed": record["seed"],
-        "algorithm": record["algorithm"],
-        "exhaustive": record["exhaustive"],
-        "grid_points": len(grid),
-        "lp": record["lp"],
-        "routes": record["routes"],
-    }
+    # every run field of the record as it is, less its form (reworded) and rows (the table)
+    run = {key: value for key, value in record.items() if key not in ("form", "rows")}
+    meta = {"command": "compare", "form": "%d,%d" % (l, k), **run, "grid_points": len(grid)}
     return _emit(args, header, rows, meta)
 
 

@@ -71,15 +71,18 @@ def _weight_rows(grid, n):
     up from gamma[0] = q**n by the ratio p / q, for p > 1/2 down from
     gamma[n] = p**n by q / p (that row is built upward and reversed), so the
     start never underflows (it is at least 2**-n) and no ratio exceeds 1.
-    The start is Python's power of the crossover as given, and the products
-    are taken in order, so a row is bit for bit the loop that multiplies
-    gamma[d] by the ratio one step at a time; p = 0 and p = 1 need no case
-    of their own (the ratio is 0).
+    The start is Python's power of the crossover read as its exact Python
+    float (a float32 p is not priced in float32), and the products are taken
+    in order, so a row is bit for bit the loop that multiplies gamma[d] by
+    the ratio one step at a time; p = 0 and p = 1 need no case of their own
+    (the ratio is 0).
     """
     grid = list(grid)
     for p in grid:
+        # compared before float(): a string or other non-real still raises
         if not 0.0 <= p <= 1.0:
             raise ValueError("p must lie in [0, 1], got %r" % (p,))
+    grid = [float(p) for p in grid]
     if n < 1:
         raise ValueError("n must be positive")
     # per point, as Python computes them: the larger end's power and the
@@ -138,14 +141,19 @@ def _bins_per_slice(block):
     return max(1, _CHUNK_CELLS // (max(1, len(block)) * block.shape[2]))
 
 
+def _histogram(dist, n):
+    # (cells, n+1) profiles of a (cells, words) array of distances in 0..n:
+    # row c counts cell c's words at each distance, in one bincount
+    cells = dist + np.arange(0, len(dist) * (n + 1), n + 1)[:, None]
+    return np.bincount(cells.ravel(), minlength=len(dist) * (n + 1)).reshape(-1, n + 1)
+
+
 def _profiles(block, zs, n):
     """(cells, n+1) distance profiles of a (B, K, 2**l) block of bins of
     n-bit words: row c counts the words of cell c's bin at each distance
     from its observation, cells in the order (table, observation of zs,
-    bin).  One bincount; callers bound the block."""
-    dist = np.bitwise_count(block[:, None] ^ zs[:, None, None]).reshape(-1, block.shape[2])
-    cells = dist + np.arange(0, len(dist) * (n + 1), n + 1)[:, None]
-    return np.bincount(cells.ravel(), minlength=len(dist) * (n + 1)).reshape(-1, n + 1)
+    bin).  One _histogram; callers bound the block."""
+    return _histogram(np.bitwise_count(block[:, None] ^ zs[:, None, None]).reshape(-1, block.shape[2]), n)
 
 
 def _types(block, zs, n):
@@ -232,8 +240,7 @@ def _type_profiles(l, types, m):
         digits = np.arange(first, min(first + blocks.step, blocks.stop))[:, None] // stride % radix
         dist = start + digits @ sign.T
         weight = binomials[np.arange(len(m)), digits].prod(axis=1)
-        cells = dist + np.arange(0, len(dist) * (n + 1), n + 1)[:, None]
-        profiles = np.bincount(cells.ravel(), minlength=len(dist) * (n + 1)).reshape(-1, n + 1)
+        profiles = _histogram(dist, n)
         # the key sum_d c_d (2**l + 1)**d in parts, the top distances last: one
         # lexsort orders the profiles as _types' keys do, however long they are
         keys = np.stack([profiles[:, d : d + width] @ base ** np.arange(min(width, n + 1 - d), dtype=np.int64)

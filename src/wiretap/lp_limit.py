@@ -160,7 +160,7 @@ class LpSolution:
     basis: list
     selected: list     # [(row tuple, multiplicity)] for x_i > 0
     upper: float       # dual bound: no feasible point scores above it
-    pivots_phase2: int  # simplex pivots from the starting basis
+    pivots_phase2: int  # every pivot of the one-phase simplex (name kept: a pinned JSON key)
     bland_fallbacks: int
 
 
@@ -181,7 +181,7 @@ class LpCurve:
     upper: np.ndarray    # dual bound per point
     bases: list          # optimal basis per point, sorted column indices
     candidate_rows: int
-    pivots_phase2: list  # per point
+    pivots_phase2: list  # per point, every pivot of its one-phase solve (LpSolution)
     bland_fallbacks: int
 
     @property
@@ -198,8 +198,21 @@ class LpCurve:
         }
 
 
+def _check_lp_form(n, e):
+    # the LP form rule: e = 2**l for an integer l, then check_form(l, n - l)
+    l = e.bit_length() - 1
+    if e < 1 or e != 1 << l:
+        raise ValueError("bin size e must be a power of two, got %d" % e)
+    check_form(l, n - l)
+
+
 def build_lp(n, e, p):
-    """Assemble the LP for blocklength n, bin size e, crossover p (checked first)."""
+    """Assemble the LP for blocklength n, bin size e, crossover p.
+
+    The door rule, before p is read or a row enumerated: ValueError unless
+    e = 2**l, then check_form(l, n - l), as every LP door applies it.
+    """
+    _check_lp_form(n, e)
     gamma = channel_weights(p, n)
     # the candidate rows are held once, as the columns of A: the row-major
     # (n+1, N) buffer they were enumerated into, which pricing streams
@@ -270,8 +283,9 @@ def solve_lp(inst, basis=None):
     lacks those columns.  The returned multiplicities are those of an
     optimal basic feasible solution: at most n+1 of them are positive
     and each is integral up to roundoff, because the vertices of this
-    polytope are integer.
+    polytope are integer.  The instance meets build_lp's door rule before any pivot.
     """
+    _check_lp_form(inst.n, inst.e)
     A, b, f = inst.A, inst.b, inst.f
     if basis is None:
         basis = _pure_basis(inst.n, inst.e)

@@ -2,6 +2,7 @@ import itertools
 import math
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -361,3 +362,19 @@ def test_compare_form_folds_blocks_like_per_table_curves(monkeypatch):
     # blocks of 3 of the 70 exhaustive (2,1) tables mix both routes
     routes = [equivocation_curve(t, [0.1]).route for t in enumerate_binnings(2, 1)]
     assert {"coset", "full"} in [set(routes[i : i + 3]) for i in range(0, len(routes), 3)]
+
+
+def test_binary_entropy_keeps_its_digits_near_both_endpoints():
+    """Against a 400-digit oracle, at p from 1e-300 to 0.45 and at the float 1 - p of
+    every p >= 1e-9; a float32 p is read at its own value."""
+
+    def oracle(p):
+        p = mpmath.mpf(p)
+        return -p * mpmath.log(p, 2) - (1 - p) * mpmath.log(1 - p, 2)
+
+    with mpmath.workdps(400):
+        for p in (1e-300, 1e-30, 1e-17, 1e-13, 1e-9, 1e-6, 1e-3, 0.1, 0.45):
+            for x in (p, 1.0 - p) if p >= 1e-9 else (p,):
+                want = oracle(x)
+                assert abs(binary_entropy(x) - want) <= 1e-13 * want, x
+    assert binary_entropy(np.float32(0.1)) == binary_entropy(float(np.float32(0.1)))

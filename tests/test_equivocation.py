@@ -638,6 +638,22 @@ def test_curve_rejects_invalid_tables_and_crossovers():
     assert equivocation_curve(make((1, 1)), []).bits.tolist() == []
 
 
+def test_crossovers_are_read_as_their_exact_floats():
+    """A numpy float32, float16 or float64 crossover, or an int one, gives the curve of
+    the Python float of the same value bit for bit, on both routes; a string still raises."""
+    tables = (standard_table(2, 10), next(sample_binning(2, 2, seed=7)))
+    for kind in (np.float32, np.float16, np.float64):
+        grid = [kind(v) for v in (0.0, 0.1, 0.37, 0.5, 0.8, 1.0)]
+        floats = [float(p) for p in grid]
+        assert channel_weights(grid[1], 12).tobytes() == channel_weights(floats[1], 12).tobytes()
+        for t in tables:
+            assert equivocation_curve(t, grid).bits.tobytes() == equivocation_curve(t, floats).bits.tobytes()
+    for t in tables:
+        assert equivocation_curve(t, [0, 1]).bits.tobytes() == equivocation_curve(t, [0.0, 1.0]).bits.tobytes()
+    with pytest.raises(TypeError):
+        equivocation_curve(tables[0], ["0.1"])
+
+
 def unit_vector_certificate(t):
     """Reference: XOR by each of the n unit vectors maps bins onto bins.
 

@@ -64,3 +64,25 @@ def test_the_curve_refuses_a_form_past_the_blocklength_cap_before_any_row(monkey
     for k in (N_CAP, 46):
         with pytest.raises(CapExceeded, match="^blocklength %d exceeds cap %d$" % (k + 1, N_CAP)):
             lp_limit_curve(1, k, [0.1])
+
+
+def test_every_lp_door_refuses_the_forms_the_curve_refuses(monkeypatch):
+    """build_lp and solve_lp apply the table-form rule, as lp_limit_curve does: past
+    n = N_CAP before any row or pivot, and ValueError for a bin size that is not a
+    power of two or a form with no message bit."""
+
+    def fail(*args):
+        raise AssertionError("the door let the form through")
+
+    monkeypatch.setattr(lp_limit, "enumerate_rows", fail)
+    for n in (N_CAP + 1, 47):
+        with pytest.raises(CapExceeded, match="^blocklength %d exceeds cap %d$" % (n, N_CAP)):
+            build_lp(n, 2, 0.1)
+    monkeypatch.setattr(lp_limit, "_pivot_loop", fail)
+    n = N_CAP + 1
+    inst = LpInstance(n=n, e=2, f=np.zeros(n + 1), A=2 * np.eye(n + 1), b=np.ones(n + 1))
+    with pytest.raises(CapExceeded, match="^blocklength %d exceeds cap %d$" % (n, N_CAP)):
+        solve_lp(inst)
+    for n, e in ((5, 3), (5, 0), (1, 2)):
+        with pytest.raises(ValueError):
+            build_lp(n, e, 0.1)
